@@ -62,7 +62,7 @@ def _collect_overrides(args) -> dict:
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         overrides.update(parse_config_text(text))
     for item in args.overrides:
@@ -78,7 +78,7 @@ def _resolve_params(args, allow_unstable: bool) -> SimParams:
     return params_from_dict(_collect_overrides(args), allow_unstable=allow_unstable)
 
 
-def _execute_run(params: SimParams, outdir: Path, workers: int = 1):
+def _execute_run(params: SimParams, outdir: Path):
     """One full simulation with the standard artifact set in outdir.
 
     Returns (exit code, last diagnostics record or None).  On blow-up the
@@ -98,8 +98,7 @@ def _execute_run(params: SimParams, outdir: Path, workers: int = 1):
     failure = None
     state = None
     try:
-        state, _ = run(params, on_snapshot=save_state, on_diagnostics=records.append,
-                       workers=workers)
+        state, _ = run(params, on_snapshot=save_state, on_diagnostics=records.append)
     except BlowupError as exc:
         failure = exc
     write_diagnostics_csv(records, outdir / "diagnostics.csv")
@@ -117,9 +116,6 @@ def _execute_run(params: SimParams, outdir: Path, workers: int = 1):
 
 
 def cmd_run(args) -> int:
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     try:
         params = _resolve_params(args, allow_unstable=args.force)
     except ConfigError as exc:
@@ -131,7 +127,7 @@ def cmd_run(args) -> int:
               f"(thermal {dt_thermal!r}, phase {dt_phase!r}); proceeding under --force",
               file=sys.stderr)
     try:
-        code, last = _execute_run(params, Path(args.out), workers=args.workers)
+        code, last = _execute_run(params, Path(args.out))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -172,11 +168,8 @@ def cmd_sweep(args) -> int:
             print(f"error: {key}={tok}: {exc}", file=sys.stderr)
             return 1, None
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one, plan))
-    else:
-        results = [one(item) for item in plan]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        results = list(pool.map(one, plan))
 
     lines = [SWEEP_HEADER]
     for (tok, _), (code, last) in zip(plan, results):
@@ -248,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute one simulation")
     _add_config_options(p)
     p.add_argument("--out", default="out", metavar="DIR", help="output directory")
-    p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="row-band threads for the update sweep")
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("sweep", help="run once per value of one parameter")

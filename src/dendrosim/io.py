@@ -7,7 +7,9 @@ header followed by raw little-endian float64 payload, lossless by design.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from datetime import datetime, timezone
 
 import numpy as np
@@ -18,24 +20,25 @@ from .solver import SimParams
 
 SNAPSHOT_MAGIC = b"PFDS1\n"
 
-CONFIG_KEYS = (
-    "nx", "ny", "dx", "dt", "total_steps", "tau", "eps_bar", "delta", "j_mode",
-    "theta0", "alpha", "gamma", "t_eq", "latent_heat", "noise_amp", "rng_seed",
-    "seed_radius_sq", "divisor_mode", "snapshot_every", "diagnostics_every",
-    "replicate_appendix_bug",
-)
 
-_INT_KEYS = {"nx", "ny", "total_steps", "j_mode", "rng_seed", "snapshot_every", "diagnostics_every"}
-_FLOAT_KEYS = {
-    "dx", "dt", "tau", "eps_bar", "delta", "theta0", "alpha", "gamma", "t_eq",
-    "latent_heat", "noise_amp", "seed_radius_sq",
-}
-_BOOL_KEYS = {"replicate_appendix_bug"}
+def _key_types() -> dict:
+    """Config key -> value type, in document order: the SimParams fields with
+    the ModelParams fields in place of `model`.  allow_unstable is not a key;
+    it comes from the caller (the --force flag)."""
+    sim_types = typing.get_type_hints(SimParams)
+    model_types = typing.get_type_hints(ModelParams)
+    types = {}
+    for f in dataclasses.fields(SimParams):
+        if f.name == "model":
+            types.update((g.name, model_types[g.name]) for g in dataclasses.fields(ModelParams))
+        elif f.name != "allow_unstable":
+            types[f.name] = sim_types[f.name]
+    return types
 
-_MODEL_KEYS = {
-    "tau", "eps_bar", "delta", "j_mode", "theta0", "alpha", "gamma", "t_eq",
-    "latent_heat", "noise_amp",
-}
+
+_KEY_TYPES = _key_types()
+CONFIG_KEYS = tuple(_KEY_TYPES)
+_MODEL_KEYS = frozenset(f.name for f in dataclasses.fields(ModelParams))
 
 
 class ConfigError(ValueError):
@@ -56,12 +59,13 @@ def parse_value(key: str, text: str):
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key '{key}'")
     text = text.strip()
+    kind = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
+        if kind is int:
             return int(text, 10)
-        if key in _FLOAT_KEYS:
+        if kind is float:
             return float(text)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             if text in ("true", "false"):
                 return text == "true"
             raise ValueError(text)
@@ -109,18 +113,8 @@ def parse_config(text: str, allow_unstable: bool = False) -> SimParams:
 
 
 def params_to_dict(p: SimParams) -> dict:
-    m = p.model
-    return {
-        "nx": p.nx, "ny": p.ny, "dx": p.dx, "dt": p.dt,
-        "total_steps": p.total_steps, "tau": m.tau, "eps_bar": m.eps_bar,
-        "delta": m.delta, "j_mode": m.j_mode, "theta0": m.theta0,
-        "alpha": m.alpha, "gamma": m.gamma, "t_eq": m.t_eq,
-        "latent_heat": m.latent_heat, "noise_amp": m.noise_amp,
-        "rng_seed": p.rng_seed, "seed_radius_sq": p.seed_radius_sq,
-        "divisor_mode": p.divisor_mode, "snapshot_every": p.snapshot_every,
-        "diagnostics_every": p.diagnostics_every,
-        "replicate_appendix_bug": p.replicate_appendix_bug,
-    }
+    """Resolved params as a config key -> value dict in CONFIG_KEYS order."""
+    return {k: getattr(p.model if k in _MODEL_KEYS else p, k) for k in CONFIG_KEYS}
 
 
 def _format_value(value) -> str:
@@ -169,23 +163,34 @@ def read_snapshot(path) -> tuple[Field, dict]:
         end = blob.index(b"\n\n", len(SNAPSHOT_MAGIC))
     except ValueError:
         raise SnapshotFormatError("truncated snapshot header") from None
+    try:
+        lines = blob[len(SNAPSHOT_MAGIC):end].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise SnapshotFormatError("snapshot header is not ASCII") from None
     header = {}
-    for line in blob[len(SNAPSHOT_MAGIC):end].decode("ascii").splitlines():
+    for line in lines:
         key, _, value = line.partition(" ")
         header[key] = value
     for key in ("nx", "ny", "dx", "dt", "step", "field"):
         if key not in header:
             raise SnapshotFormatError(f"snapshot header missing '{key}'")
-    nx, ny = int(header["nx"]), int(header["ny"])
+    try:
+        nx, ny = int(header["nx"]), int(header["ny"])
+        dx = float(header["dx"])
+        meta = {"step": int(header["step"]), "dt": float(header["dt"]), "field": header["field"]}
+    except ValueError as exc:
+        raise SnapshotFormatError(f"malformed snapshot header: {exc}") from None
     payload = blob[end + 2:]
     expected = 8 * nx * ny
     if len(payload) != expected:
         raise SnapshotFormatError(
             f"payload size mismatch: expected {expected} bytes for {nx}x{ny}, got {len(payload)}"
         )
-    data = np.frombuffer(payload, dtype="<f8").reshape(nx, ny)
-    field = Field.from_array(data.copy(), float(header["dx"]))
-    meta = {"step": int(header["step"]), "dt": float(header["dt"]), "field": header["field"]}
+    try:
+        data = np.frombuffer(payload, dtype="<f8").reshape(nx, ny)
+        field = Field.from_array(data.copy(), dx)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"invalid snapshot header: {exc}") from None
     return field, meta
 
 

@@ -15,6 +15,7 @@ import numpy as np
 class ModelParams:
     """Model parameters of the coupled phase/temperature equations.
 
+    tau         relaxation time of the phase field
     eps_bar     mean interfacial width coefficient
     delta       anisotropy strength, < 1 so the coefficient stays positive
     j_mode      number of preferred growth directions
@@ -23,10 +24,10 @@ class ModelParams:
     gamma       supercooling gain inside the arctan
     t_eq        equilibrium temperature
     latent_heat dimensionless latent heat released by solidification
-    tau         relaxation time of the phase field
     noise_amp   amplitude of the interface noise
     """
 
+    tau: float = 3e-4
     eps_bar: float = 0.01
     delta: float = 0.01
     j_mode: int = 4
@@ -35,7 +36,6 @@ class ModelParams:
     gamma: float = 10.0
     t_eq: float = 1.0
     latent_heat: float = 1.8
-    tau: float = 3e-4
     noise_amp: float = 0.0
 
     def __post_init__(self):

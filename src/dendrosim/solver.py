@@ -8,7 +8,6 @@ freshly updated value leaks into another cell within the same step.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -47,14 +46,14 @@ class BlowupError(RuntimeError):
 class SimParams:
     """Complete run description: model constants plus grid and schedule."""
 
-    model: ModelParams = dataclass_field(default_factory=ModelParams)
     nx: int = 500
     ny: int = 500
     dx: float = 0.03
     dt: float = 1e-4
     total_steps: int = 2000
-    seed_radius_sq: float = 20.0
+    model: ModelParams = dataclass_field(default_factory=ModelParams)
     rng_seed: int = 0
+    seed_radius_sq: float = 20.0
     divisor_mode: str = PAPER_CODE
     snapshot_every: int = 500
     diagnostics_every: int = 100
@@ -70,6 +69,8 @@ class SimParams:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.seed_radius_sq < 0.0:
             raise ValueError(f"seed_radius_sq must be >= 0, got {self.seed_radius_sq}")
         if math.sqrt(self.seed_radius_sq) >= min(self.nx, self.ny) / 2:
@@ -131,22 +132,10 @@ def initialize(p: SimParams) -> SimState:
     )
 
 
-def _row_bands(n: int, workers: int) -> list[tuple[int, int]]:
-    nbands = max(1, min(workers, n))
-    base, extra = divmod(n, nbands)
-    bands, lo = [], 0
-    for b in range(nbands):
-        hi = lo + base + (1 if b < extra else 0)
-        bands.append((lo, hi))
-        lo = hi
-    return bands
-
-
 def step(
     state: SimState,
     p: SimParams,
     rng: RngStream | None = None,
-    workers: int = 1,
     freeze_temperature: bool = False,
 ) -> SimState:
     """Advance one step.
@@ -154,8 +143,7 @@ def step(
     Pass 1 (whole grid): gradients and Laplacians of phi, Laplacian of T, the
     interface angle, eps/eps' fields, the flux product eps*eps'*grad(phi) with
     its four neighbor shifts, the gradient of eps^2, and the noise field.
-    Pass 2 (optionally split into row bands) is purely elementwise on those
-    arrays, so the result is bitwise identical for any worker count:
+    Pass 2 is purely elementwise on those arrays:
 
         term1 =  d/dy [eps eps' dphi/dx]
         term2 = -d/dx [eps eps' dphi/dy]
@@ -203,31 +191,19 @@ def step(
 
     xdiv, ydiv = divisors(dx, dy, p.divisor_mode)
     dt_over_tau = p.dt / mp.tau
-    phi_new = np.empty_like(phi)
-    temp_new = np.empty_like(temp)
-
-    def sweep(lo: int, hi: int):
-        s = slice(lo, hi)
-        term1 = (qx_jp[s] - qx_jm[s]) / ydiv
-        term2 = -(qy_ip[s] - qy_im[s]) / xdiv
-        term3 = ge2x[s] * gx[s] + ge2y[s] * gy[s]
-        m = m_of_temperature(temp[s], mp)
-        rhs = (term1 + term2) + term3 + (eps2[s] * lap_phi[s] + reaction_term(phi[s], m))
-        if chi is not None:
-            rhs = rhs + noise_term(phi[s], mp.noise_amp, chi[s])
-        dphi = rhs * dt_over_tau
-        phi_new[s] = phi[s] + dphi
-        if freeze_temperature:
-            temp_new[s] = temp[s]
-        else:
-            temp_new[s] = temp[s] + p.dt * lap_t[s] + mp.latent_heat * dphi
-
-    bands = _row_bands(phi.shape[0], workers)
-    if len(bands) == 1:
-        sweep(*bands[0])
+    term1 = (qx_jp - qx_jm) / ydiv
+    term2 = -(qy_ip - qy_im) / xdiv
+    term3 = ge2x * gx + ge2y * gy
+    m = m_of_temperature(temp, mp)
+    rhs = (term1 + term2) + term3 + (eps2 * lap_phi + reaction_term(phi, m))
+    if chi is not None:
+        rhs = rhs + noise_term(phi, mp.noise_amp, chi)
+    dphi = rhs * dt_over_tau
+    phi_new = phi + dphi
+    if freeze_temperature:
+        temp_new = temp.copy()
     else:
-        with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-            list(pool.map(lambda b: sweep(*b), bands))
+        temp_new = temp + p.dt * lap_t + mp.latent_heat * dphi
 
     new_step = state.step + 1
     for name, arr in (("phi", phi_new), ("temp", temp_new)):
@@ -243,19 +219,13 @@ def step(
     )
 
 
-def run(
-    p: SimParams,
-    on_snapshot=None,
-    on_diagnostics=None,
-    workers: int = 1,
-):
+def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
     """Initialize and advance total_steps steps, emitting through the sinks.
 
     Snapshots are emitted at step 0, every snapshot_every steps, and at the
     final step; diagnostics likewise with diagnostics_every.  Identical params
-    (including rng_seed) give bitwise identical emitted data for any worker
-    count.  On blow-up the last good state is emitted as a snapshot before the
-    error propagates.
+    (including rng_seed) give bitwise identical emitted data.  On blow-up the
+    last good state is emitted as a snapshot before the error propagates.
 
     Returns (final state, list of DiagnosticsRecord).
     """
@@ -279,7 +249,7 @@ def run(
     sample(state)
     for _ in range(p.total_steps):
         try:
-            state = step(state, p, rng, workers=workers)
+            state = step(state, p, rng)
         except BlowupError:
             emit(state)
             raise

@@ -116,10 +116,6 @@ class TestRun:
         assert meta["step"] > 0
         assert np.isfinite(field.data).all()
 
-    def test_invalid_worker_count(self, tmp_path, capsys):
-        assert main(["run", "--workers", "0", "--out", str(tmp_path / "o")]) == 2
-        assert "--workers" in capsys.readouterr().err
-
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, tmp_path):
@@ -127,13 +123,6 @@ class TestDeterminism:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", *BASE, *noise, "--out", str(a)]) == 0
         assert main(["run", *BASE, *noise, "--out", str(b)]) == 0
-        assert tree_bytes(a) == tree_bytes(b)
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        noise = ["--set", "noise_amp=0.01"]
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", *BASE, *noise, "--out", str(a), "--workers", "1"]) == 0
-        assert main(["run", *BASE, *noise, "--out", str(b), "--workers", "3"]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
 
@@ -169,6 +158,12 @@ class TestCheck:
     def test_config_error_exits_two(self, capsys):
         assert main(["check", "--set", "bogus=1"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"nx = 64\n# caf\xe9\n")
+        assert main(["check", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_desk_preset_resolves_grid(self, capsys):
         assert main(["check", "--preset", "desk"]) == 0
@@ -300,3 +295,15 @@ class TestTopLevel:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["explode"]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "check"])
+    def test_negative_rng_seed_is_config_error(self, command, tmp_path, capsys):
+        extra = {
+            "run": ["--out", str(tmp_path / "o")],
+            "sweep": ["--param", "latent_heat", "--values", "1.0", "--out", str(tmp_path / "s")],
+            "check": [],
+        }[command]
+        assert main([command, *BASE, "--set", "rng_seed=-1", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "rng_seed" in err

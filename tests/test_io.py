@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import reference as R
 from dendrosim.diagnostics import DiagnosticsRecord
@@ -30,6 +31,31 @@ from dendrosim.io import (
 )
 from dendrosim.lattice import Field
 from dendrosim.solver import SimParams
+
+
+HEADER_KEYS = (b"nx", b"ny", b"dx", b"dt", b"step", b"field")
+HEADER_VALUES = st.one_of(
+    st.sampled_from([b"-4", b"0", b"2", b"3", b"4", b"1e400", b"nan", b"9" * 30]),
+    st.binary(max_size=6),
+)
+
+
+def snapshot_bodies():
+    """Complete headers with odd values, followed by a payload of whole cells."""
+    header = st.tuples(*[HEADER_VALUES] * len(HEADER_KEYS)).map(
+        lambda vs: b"".join(k + b" " + v + b"\n" for k, v in zip(HEADER_KEYS, vs))
+    )
+    payload = st.integers(0, 20).map(lambda n: b"\x00" * (8 * n))
+    return st.tuples(header, payload).map(lambda hp: hp[0] + b"\n" + hp[1])
+
+
+def config_texts():
+    """Lines of known keys with arbitrary values, mixed with arbitrary lines."""
+    line = st.one_of(
+        st.tuples(st.sampled_from(CONFIG_KEYS), st.text(max_size=12)).map(" = ".join),
+        st.text(max_size=30),
+    )
+    return st.lists(line, max_size=6).map("\n".join)
 
 
 class TestConfigParsing:
@@ -102,6 +128,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="workers"):
             params_from_dict({"workers": 4})
 
+    @given(st.one_of(st.text(), config_texts()))
+    def test_arbitrary_text_raises_only_config_error(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
+
 
 class TestConfigRoundTrip:
     def test_defaults_round_trip(self):
@@ -142,6 +175,17 @@ class TestConfigRoundTrip:
     def test_format_emits_every_key_once_in_order(self):
         lines = format_config(SimParams()).splitlines()
         assert [ln.split(" = ")[0] for ln in lines] == list(CONFIG_KEYS)
+
+    def test_key_order_is_the_documented_one(self):
+        # the key list in README, section Configuration
+        documented = [
+            "nx", "ny", "dx", "dt", "total_steps", "tau", "eps_bar", "delta", "j_mode",
+            "theta0", "alpha", "gamma", "t_eq", "latent_heat", "noise_amp", "rng_seed",
+            "seed_radius_sq", "divisor_mode", "snapshot_every", "diagnostics_every",
+            "replicate_appendix_bug",
+        ]
+        lines = format_config(SimParams()).splitlines()
+        assert [ln.split(" = ")[0] for ln in lines] == documented
 
 
 class TestSnapshot:
@@ -220,6 +264,38 @@ class TestSnapshot:
         path.write_bytes(header + b"\x00" * 72)
         with pytest.raises(SnapshotFormatError, match="dt"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "changed, payload_cells",
+        [
+            ({"nx": b"abc"}, 16),
+            ({"nx": b"2"}, 8),
+            ({"nx": b"-4", "ny": b"-4"}, 16),
+            ({"dx": b"0"}, 16),
+            ({"step": b"x"}, 16),
+            ({"field": b"ph\xefi"}, 16),
+        ],
+        ids=["nx-not-int", "nx-too-small", "negative-extents", "zero-dx", "step-not-int",
+             "non-ascii"],
+    )
+    def test_malformed_header_value_rejected(self, tmp_path, changed, payload_cells):
+        header = {b"nx": b"4", b"ny": b"4", b"dx": b"0.03", b"dt": b"0.0001",
+                  b"step": b"0", b"field": b"phi"}
+        header.update((k.encode(), v) for k, v in changed.items())
+        path = tmp_path / "f.pfds"
+        path.write_bytes(SNAPSHOT_MAGIC + b"".join(k + b" " + v + b"\n" for k, v in header.items())
+                         + b"\n" + b"\x00" * (8 * payload_cells))
+        with pytest.raises(SnapshotFormatError):
+            read_snapshot(path)
+
+    @given(st.one_of(st.binary(max_size=200), snapshot_bodies()))
+    def test_arbitrary_bytes_after_magic_raise_only_format_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pfds"
+        path.write_bytes(SNAPSHOT_MAGIC + body)
+        try:
+            read_snapshot(path)
+        except SnapshotFormatError:
+            pass
 
 
 class TestPgm:
