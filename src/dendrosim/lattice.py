@@ -29,8 +29,10 @@ class Field:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid extents must be >= 3, got {self.nx}x{self.ny}")
-        if self.dx <= 0.0 or self.dy <= 0.0:
-            raise ValueError(f"cell spacing must be positive, got dx={self.dx}, dy={self.dy}")
+        if not 0.0 < self.dx < math.inf or not 0.0 < self.dy < math.inf:
+            raise ValueError(
+                f"cell spacing must be positive and finite, got dx={self.dx}, dy={self.dy}"
+            )
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
         if self.data.shape != (self.nx, self.ny):
             raise ValueError(
@@ -80,11 +82,28 @@ def divisors(dx: float, dy: float, mode: str) -> tuple[float, float]:
     raise ValueError(f"unknown divisor_mode {mode!r}, expected one of {DIVISOR_MODES}")
 
 
+def periodic_pad(a: np.ndarray) -> np.ndarray:
+    """(nx+2, ny+2) copy of `a` with a one-cell periodic border.
+
+    Cell (i, j) of `a` is cell (i+1, j+1) of the copy, so the neighbour at
+    (i+di, j+dj) of every cell is the slice view [1+di : nx+1+di, 1+dj : ny+1+dj].
+    """
+    nx, ny = a.shape
+    out = np.empty((nx + 2, ny + 2), dtype=a.dtype)
+    out[1:-1, 1:-1] = a
+    out[0, 1:-1] = a[-1]
+    out[-1, 1:-1] = a[0]
+    out[:, 0] = out[:, -2]
+    out[:, -1] = out[:, 1]
+    return out
+
+
 def gradient_arrays(a: np.ndarray, dx: float, dy: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Periodic central differences (df/dx, df/dy) on a raw array."""
     xdiv, ydiv = divisors(dx, dy, mode)
-    gx = (shifted(a, 1, 0) - shifted(a, -1, 0)) / xdiv
-    gy = (shifted(a, 0, 1) - shifted(a, 0, -1)) / ydiv
+    h = periodic_pad(a)
+    gx = (h[2:, 1:-1] - h[:-2, 1:-1]) / xdiv
+    gy = (h[1:-1, 2:] - h[1:-1, :-2]) / ydiv
     return gx, gy
 
 
@@ -103,14 +122,15 @@ def laplacian9_arrays(a: np.ndarray, dx: float, dy: float) -> np.ndarray:
     """
     if dx != dy:
         raise ValueError(f"nine-point Laplacian requires square cells, got dx={dx}, dy={dy}")
-    xp = shifted(a, 1, 0)
-    xm = shifted(a, -1, 0)
-    yp = shifted(a, 0, 1)
-    ym = shifted(a, 0, -1)
-    pp = shifted(a, 1, 1)
-    mm = shifted(a, -1, -1)
-    pm = shifted(a, 1, -1)
-    mp = shifted(a, -1, 1)
+    h = periodic_pad(a)
+    xp = h[2:, 1:-1]
+    xm = h[:-2, 1:-1]
+    yp = h[1:-1, 2:]
+    ym = h[1:-1, :-2]
+    pp = h[2:, 2:]
+    mm = h[:-2, :-2]
+    pm = h[2:, :-2]
+    mp = h[:-2, 2:]
     return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * a) / (3.0 * dx * dx)
 
 

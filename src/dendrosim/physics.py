@@ -6,9 +6,19 @@ except RngStream which is a sequential seeded stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+
+def require_finite(params) -> None:
+    """Raise ValueError naming the first field of a dataclass that holds a
+    NaN or infinite float."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -39,6 +49,7 @@ class ModelParams:
     noise_amp: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.eps_bar < 0.0:
             raise ValueError(f"eps_bar must be >= 0, got {self.eps_bar}")
         if not 0.0 <= self.delta < 1.0:

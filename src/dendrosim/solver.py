@@ -19,7 +19,7 @@ from .lattice import (
     divisors,
     gradient_arrays,
     laplacian9_arrays,
-    shifted,
+    periodic_pad,
 )
 from .physics import (
     ModelParams,
@@ -29,6 +29,7 @@ from .physics import (
     m_of_temperature,
     noise_term,
     reaction_term,
+    require_finite,
 )
 
 
@@ -61,6 +62,7 @@ class SimParams:
     allow_unstable: bool = False
 
     def __post_init__(self):
+        require_finite(self)
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"nx/ny must be >= 3, got {self.nx}x{self.ny}")
         if self.dx <= 0.0:
@@ -141,8 +143,9 @@ def step(
     """Advance one step.
 
     Pass 1 (whole grid): gradients and Laplacians of phi, Laplacian of T, the
-    interface angle, eps/eps' fields, the flux product eps*eps'*grad(phi) with
-    its four neighbor shifts, the gradient of eps^2, and the noise field.
+    interface angle, eps/eps' fields, the flux product eps*eps'*grad(phi) as
+    periodic ghost-cell copies (see lattice.periodic_pad) whose neighbours are
+    slice views, the gradient of eps^2, and the noise field.
     Pass 2 is purely elementwise on those arrays:
 
         term1 =  d/dy [eps eps' dphi/dx]
@@ -170,12 +173,8 @@ def step(
     eps, eps_prime = epsilon_of_theta(theta, mp)
     eps2 = eps * eps
     flux = eps * eps_prime
-    qx = flux * gx
-    qy = flux * gy
-    qx_jp = shifted(qx, 0, 1)
-    qx_jm = shifted(qx, 0, -1)
-    qy_ip = shifted(qy, 1, 0)
-    qy_im = shifted(qy, -1, 0)
+    qx = periodic_pad(flux * gx)
+    qy = periodic_pad(flux * gy)
 
     ge2x, ge2y = gradient_arrays(eps2, dx, dy, p.divisor_mode)
     if p.replicate_appendix_bug:
@@ -191,8 +190,8 @@ def step(
 
     xdiv, ydiv = divisors(dx, dy, p.divisor_mode)
     dt_over_tau = p.dt / mp.tau
-    term1 = (qx_jp - qx_jm) / ydiv
-    term2 = -(qy_ip - qy_im) / xdiv
+    term1 = (qx[1:-1, 2:] - qx[1:-1, :-2]) / ydiv
+    term2 = -(qy[2:, 1:-1] - qy[:-2, 1:-1]) / xdiv
     term3 = ge2x * gx + ge2y * gy
     m = m_of_temperature(temp, mp)
     rhs = (term1 + term2) + term3 + (eps2 * lap_phi + reaction_term(phi, m))

@@ -166,6 +166,83 @@ def reference_step(phi, temp, mp, dx, dt, paper_divisor=True,
     return phi_new, temp_new
 
 
+def rolled(a, di, dj):
+    """Values at (i+di, j+dj) as np.roll copies, wrapping periodically."""
+    out = a
+    if di:
+        out = np.roll(out, -di, axis=0)
+    if dj:
+        out = np.roll(out, -dj, axis=1)
+    return out
+
+
+def roll_gradient(a, dx, dy, paper_divisor):
+    """Central differences built from np.roll copies, in the package's
+    operation order, so equal results are equal bits."""
+    xdiv = dx if paper_divisor else 2.0 * dx
+    ydiv = dy if paper_divisor else 2.0 * dy
+    gx = (rolled(a, 1, 0) - rolled(a, -1, 0)) / xdiv
+    gy = (rolled(a, 0, 1) - rolled(a, 0, -1)) / ydiv
+    return gx, gy
+
+
+def roll_laplacian9(a, dx):
+    """Nine-point Laplacian built from np.roll copies, neighbours summed in
+    opposite pairs as the package sums them."""
+    xp = rolled(a, 1, 0)
+    xm = rolled(a, -1, 0)
+    yp = rolled(a, 0, 1)
+    ym = rolled(a, 0, -1)
+    pp = rolled(a, 1, 1)
+    mm = rolled(a, -1, -1)
+    pm = rolled(a, 1, -1)
+    mp = rolled(a, -1, 1)
+    return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * a) / (3.0 * dx * dx)
+
+
+def roll_step(phi, temp, mp, dx, dt, paper_divisor=True,
+              replicate_bug=False, chi=None, freeze_temperature=False):
+    """One step of the whole-array scheme with every neighbour an np.roll copy.
+
+    The same array expressions in the same order as the package's step, so
+    the two agree bit for bit; reference_step is the independent longhand
+    check.  Arguments and result as for reference_step.
+    """
+    gx, gy = roll_gradient(phi, dx, dx, paper_divisor)
+    lap_phi = roll_laplacian9(phi, dx)
+    lap_t = roll_laplacian9(temp, dx)
+
+    theta = np.arctan2(gy, gx)
+    u = mp.j_mode * (theta - mp.theta0)
+    eps = mp.eps_bar * (1.0 + mp.delta * np.cos(u))
+    eps_prime = -mp.eps_bar * mp.j_mode * mp.delta * np.sin(u)
+    eps2 = eps * eps
+    flux = eps * eps_prime
+    qx = flux * gx
+    qy = flux * gy
+
+    ge2x, ge2y = roll_gradient(eps2, dx, dx, paper_divisor)
+    if replicate_bug:
+        ge2x = np.full_like(ge2x, ge2x[-1, -1])
+        ge2y = np.full_like(ge2y, ge2y[-1, -1])
+
+    div = dx if paper_divisor else 2.0 * dx
+    term1 = (rolled(qx, 0, 1) - rolled(qx, 0, -1)) / div
+    term2 = -(rolled(qy, 1, 0) - rolled(qy, -1, 0)) / div
+    term3 = ge2x * gx + ge2y * gy
+    m = (mp.alpha / np.pi) * np.arctan(mp.gamma * (mp.t_eq - temp))
+    rhs = (term1 + term2) + term3 + (eps2 * lap_phi + phi * (1.0 - phi) * (phi - 0.5 + m))
+    if chi is not None:
+        rhs = rhs + mp.noise_amp * phi * (1.0 - phi) * chi
+    dphi = rhs * (dt / mp.tau)
+    phi_new = phi + dphi
+    if freeze_temperature:
+        temp_new = temp.copy()
+    else:
+        temp_new = temp + dt * lap_t + mp.latent_heat * dphi
+    return phi_new, temp_new
+
+
 def rotated90(a, k=1):
     """Periodic rotation about cell (n//2, n//2); also correct on even grids,
     where np.rot90 would pivot about a half-cell point instead."""

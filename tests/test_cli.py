@@ -212,6 +212,12 @@ class TestRender:
         assert main(["render", str(broken), "--out", str(tmp_path / "r.pgm")]) == 1
         assert "size mismatch" in capsys.readouterr().err
 
+    def test_nan_spacing_snapshot_fails(self, snapshot, tmp_path, capsys):
+        broken = tmp_path / "nan.pfds"
+        broken.write_bytes(snapshot.read_bytes().replace(b"\ndx 0.03\n", b"\ndx nan\n", 1))
+        assert main(["render", str(broken), "--out", str(tmp_path / "r.pgm")]) == 1
+        assert "cell spacing must be positive" in capsys.readouterr().err
+
     def test_missing_snapshot_fails(self, tmp_path, capsys):
         assert main(["render", str(tmp_path / "nope.pfds"),
                      "--out", str(tmp_path / "r.pgm")]) == 1
@@ -307,3 +313,16 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "rng_seed" in err
+
+    @pytest.mark.parametrize("setting", ["dx=nan", "tau=nan", "gamma=inf", "seed_radius_sq=nan"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "check"])
+    def test_non_finite_float_is_config_error(self, command, setting, tmp_path, capsys):
+        extra = {
+            "run": ["--out", str(tmp_path / "o")],
+            "sweep": ["--param", "latent_heat", "--values", "1.0", "--out", str(tmp_path / "s")],
+            "check": [],
+        }[command]
+        assert main([command, *BASE, "--force", "--set", setting, *extra]) == 2
+        err = capsys.readouterr().err
+        key = setting.partition("=")[0]
+        assert err.startswith(f"config error: {key} must be finite")

@@ -33,6 +33,7 @@ from dendrosim.lattice import Field
 from dendrosim.solver import SimParams
 
 
+FLOAT_KEYS = [key for key, value in default_config().items() if isinstance(value, float)]
 HEADER_KEYS = (b"nx", b"ny", b"dx", b"dt", b"step", b"field")
 HEADER_VALUES = st.one_of(
     st.sampled_from([b"-4", b"0", b"2", b"3", b"4", b"1e400", b"nan", b"9" * 30]),
@@ -74,6 +75,13 @@ class TestConfigParsing:
         base = default_config()
         base["latent_heat"] = 2.0
         assert d == base
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value):
+        # --force too, so no stability bound stands in for the finiteness check
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(f"{key} = {value}\n", allow_unstable=True)
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="latent_heta"):
@@ -274,9 +282,11 @@ class TestSnapshot:
             ({"dx": b"0"}, 16),
             ({"step": b"x"}, 16),
             ({"field": b"ph\xefi"}, 16),
+            ({"dx": b"nan"}, 16),
+            ({"dx": b"inf"}, 16),
         ],
         ids=["nx-not-int", "nx-too-small", "negative-extents", "zero-dx", "step-not-int",
-             "non-ascii"],
+             "non-ascii", "nan-dx", "inf-dx"],
     )
     def test_malformed_header_value_rejected(self, tmp_path, changed, payload_cells):
         header = {b"nx": b"4", b"ny": b"4", b"dx": b"0.03", b"dt": b"0.0001",

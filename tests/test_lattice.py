@@ -17,6 +17,7 @@ from dendrosim.lattice import (
     laplacian9_arrays,
     lattice_sum,
     nine_point_laplacian,
+    periodic_pad,
     shifted,
     wrap_index,
 )
@@ -97,6 +98,11 @@ class TestWrapAndShift:
                 for j in range(4):
                     assert s[i, j] == a[R.wrap(i + di, 3), R.wrap(j + dj, 4)]
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3)])
+    def test_periodic_pad_wraps_every_border_cell(self, shape):
+        a = np.random.default_rng(31).normal(size=shape)
+        np.testing.assert_array_equal(periodic_pad(a), np.pad(a, 1, mode="wrap"))
+
 
 class TestGradient:
     def test_divisors_per_mode(self):
@@ -135,6 +141,15 @@ class TestGradient:
             ox, oy = R.naive_gradient(a, 0.03, 0.04, paper)
             np.testing.assert_array_equal(gx, ox)
             np.testing.assert_array_equal(gy, oy)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3)])
+    def test_matches_roll_formulas_bitwise(self, shape):
+        a = np.random.default_rng(37).normal(size=shape)
+        for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
+            gx, gy = gradient_arrays(a, 0.03, 0.04, mode)
+            rx, ry = R.roll_gradient(a, 0.03, 0.04, paper)
+            np.testing.assert_array_equal(gx, rx)
+            np.testing.assert_array_equal(gy, ry)
 
     def test_translation_equivariance_bitwise(self):
         a = np.random.default_rng(5).normal(size=(8, 8))
@@ -176,6 +191,11 @@ class TestLaplacian:
         a = np.random.default_rng(7).normal(size=(9, 6))
         lap = laplacian9_arrays(a, 0.03, 0.03)
         np.testing.assert_allclose(lap, R.naive_laplacian9(a, 0.03), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3)])
+    def test_matches_roll_formulas_bitwise(self, shape):
+        a = np.random.default_rng(41).normal(size=shape)
+        np.testing.assert_array_equal(laplacian9_arrays(a, 0.03, 0.03), R.roll_laplacian9(a, 0.03))
 
     def test_rejects_anisotropic_spacing(self):
         with pytest.raises(ValueError, match="square cells"):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import reference as R
+from dendrosim.diagnostics import free_energy
 from dendrosim.lattice import CENTERED, PAPER_CODE, Field, lattice_sum
-from dendrosim.physics import ModelParams
+from dendrosim.physics import ModelParams, RngStream, m_of_temperature
 from dendrosim.solver import (
     BlowupError,
     SimParams,
@@ -194,6 +195,47 @@ class TestStepAgainstOracle:
         before = st.phi.data.copy()
         step(st, p)
         np.testing.assert_array_equal(st.phi.data, before)
+
+
+class TestStepAgainstRollStep:
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 14), (3, 3)])
+    @pytest.mark.parametrize("paper_div", [True, False])
+    @pytest.mark.parametrize("bug", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_twenty_noisy_steps_bitwise(self, shape, paper_div, bug, frozen):
+        rng = np.random.default_rng(43)
+        dx, dt = 0.03, 1e-4
+        phi = rng.random(shape)
+        temp = rng.normal(0.0, 0.3, shape)
+        mp = ModelParams(noise_amp=0.01)
+        p = SimParams(
+            nx=shape[0], ny=shape[1], dx=dx, dt=dt, model=mp, seed_radius_sq=0.0,
+            divisor_mode=PAPER_CODE if paper_div else CENTERED,
+            replicate_appendix_bug=bug, total_steps=20,
+        )
+        st = SimState(phi=Field.from_array(phi, dx), temp=Field.from_array(temp, dx))
+        stream, twin_stream = RngStream(5), RngStream(5)
+        for _ in range(p.total_steps):
+            st = step(st, p, rng=stream, freeze_temperature=frozen)
+            phi, temp = R.roll_step(
+                phi, temp, mp, dx, dt, paper_divisor=paper_div, replicate_bug=bug,
+                chi=twin_stream.uniform_sym(shape), freeze_temperature=frozen,
+            )
+        np.testing.assert_array_equal(st.phi.data, phi)
+        np.testing.assert_array_equal(st.temp.data, temp)
+
+
+class TestNoRolledCopies:
+    def test_step_and_free_energy_never_call_np_roll(self, monkeypatch):
+        def no_roll(*args, **kwargs):
+            raise AssertionError("np.roll called")
+
+        monkeypatch.setattr(np, "roll", no_roll)
+        for mode in (PAPER_CODE, CENTERED):
+            p = small_params(model=ModelParams(noise_amp=0.01), divisor_mode=mode)
+            st = step(initialize(p), p, rng=RngStream(1))
+            m = Field.from_array(m_of_temperature(st.temp.data, p.model), p.dx)
+            assert np.isfinite(free_energy(st.phi, m, p.model))
 
 
 class TestFixedPoints:
