@@ -98,6 +98,43 @@ def periodic_pad(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def support_window(a: np.ndarray, b: np.ndarray, reach: int) -> tuple[slice, slice]:
+    """(row slice, column slice) of the box around the nonzero cells of `a`
+    and `b`, widened by `reach` cells on each side.
+
+    NaN cells count as nonzero and -0.0 cells as zero.  An axis along which
+    the widened box would wrap past the grid's edge gets its full extent, so
+    the window never wraps, and when both axes are full that is the whole
+    grid.
+    The `reach`-cell border frame is checked first, so once nonzero cells
+    reach it on both axes only the frame is read.  An all-zero pair gives
+    the 1x1 window at the origin.
+    """
+    nx, ny = a.shape
+    rows_full = any(x[:reach].any() or x[-reach:].any() for x in (a, b))
+    cols_full = any(x[:, :reach].any() or x[:, -reach:].any() for x in (a, b))
+    if rows_full and cols_full:
+        return slice(0, nx), slice(0, ny)
+    live = (a != 0.0) | (b != 0.0)
+    rows = np.flatnonzero(live.any(axis=1))
+    if rows.size == 0:
+        return slice(0, 1), slice(0, 1)
+    cols = np.flatnonzero(live.any(axis=0))
+    return (
+        slice(0, nx) if rows_full else slice(int(rows[0]) - reach, int(rows[-1]) + reach + 1),
+        slice(0, ny) if cols_full else slice(int(cols[0]) - reach, int(cols[-1]) + reach + 1),
+    )
+
+
+def embed(a: np.ndarray, shape: tuple[int, int], window: tuple[slice, slice]) -> np.ndarray:
+    """`a` written at `window` into zeros of `shape`; `a` itself if it fills `shape`."""
+    if a.shape == shape:
+        return a
+    out = np.zeros(shape)
+    out[window] = a
+    return out
+
+
 def gradient_arrays(a: np.ndarray, dx: float, dy: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """Periodic central differences (df/dx, df/dy) on a raw array."""
     xdiv, ydiv = divisors(dx, dy, mode)

@@ -17,9 +17,11 @@ from .lattice import (
     DIVISOR_MODES,
     Field,
     divisors,
+    embed,
     gradient_arrays,
     laplacian9_arrays,
     periodic_pad,
+    support_window,
 )
 from .physics import (
     ModelParams,
@@ -31,6 +33,16 @@ from .physics import (
     reaction_term,
     require_finite,
 )
+
+
+# How far the window that `step` updates reaches beyond the nonzero phi and
+# T cells.  A new value depends on phi and T at most 2 cells away (stencils
+# of stencils), so cells further out step from exact zeros to +0.0.  The
+# third cell is for replicate_appendix_bug, which spreads the eps^2 gradient
+# of the last cell over the grid: it keeps the eps^2 neighbours of the
+# window's last cell constant, so that gradient is +0.0 there, as it is at
+# the grid's last cell.
+WINDOW_REACH = 3
 
 
 class BlowupError(RuntimeError):
@@ -142,10 +154,20 @@ def step(
 ) -> SimState:
     """Advance one step.
 
-    Pass 1 (whole grid): gradients and Laplacians of phi, Laplacian of T, the
-    interface angle, eps/eps' fields, the flux product eps*eps'*grad(phi) as
-    periodic ghost-cell copies (see lattice.periodic_pad) whose neighbours are
-    slice views, the gradient of eps^2, and the noise field.
+    Only the window around the nonzero cells of phi and T is updated (see
+    lattice.support_window and WINDOW_REACH); every cell outside it is +0.0
+    in the result, as the whole-grid update would write there too: where all
+    inputs are +-0.0, every gradient and flux is zero, theta is 0 and eps is
+    constant, so each term is +-0.0 and the sums are +0.0.  When the nonzero
+    cells come within WINDOW_REACH of an edge the window spans that axis, and
+    the whole grid is the widest window.  A frozen T is returned as a copy
+    of the whole input.
+
+    Pass 1 (over the window): gradients and Laplacians of phi, Laplacian of
+    T, the interface angle, eps/eps' fields, the flux product
+    eps*eps'*grad(phi) as periodic ghost-cell copies (see
+    lattice.periodic_pad) whose neighbours are slice views, the gradient of
+    eps^2, and the noise field.
     Pass 2 is purely elementwise on those arrays:
 
         term1 =  d/dy [eps eps' dphi/dx]
@@ -160,8 +182,11 @@ def step(
     reference code's stale-variable behavior.
     """
     mp = p.model
-    phi = state.phi.data
-    temp = state.temp.data
+    shape = state.phi.data.shape
+    window = support_window(state.phi.data, state.temp.data, WINDOW_REACH)
+    # contiguous, so the ufuncs below run the same loops as on the whole grid
+    phi = np.ascontiguousarray(state.phi.data[window])
+    temp = np.ascontiguousarray(state.temp.data[window])
     dx = state.phi.dx
     dy = state.phi.dy
 
@@ -186,7 +211,8 @@ def step(
     if mp.noise_amp > 0.0:
         if rng is None:
             raise ValueError("noise_amp > 0 requires an RngStream")
-        chi = rng.uniform_sym(phi.shape)
+        # drawn for the whole grid, so the stream does not depend on the window
+        chi = rng.uniform_sym(shape)[window]
 
     xdiv, ydiv = divisors(dx, dy, p.divisor_mode)
     dt_over_tau = p.dt / mp.tau
@@ -200,7 +226,7 @@ def step(
     dphi = rhs * dt_over_tau
     phi_new = phi + dphi
     if freeze_temperature:
-        temp_new = temp.copy()
+        temp_new = temp  # checked below; the state gets a copy of the whole input
     else:
         temp_new = temp + p.dt * lap_t + mp.latent_heat * dphi
 
@@ -208,11 +234,15 @@ def step(
     for name, arr in (("phi", phi_new), ("temp", temp_new)):
         if not np.isfinite(arr).all():
             bad = np.argwhere(~np.isfinite(arr))[0]
-            raise BlowupError(new_step, name, (int(bad[0]), int(bad[1])))
+            cell = (window[0].start + int(bad[0]), window[1].start + int(bad[1]))
+            raise BlowupError(new_step, name, cell)
 
     return SimState(
-        phi=Field(state.phi.nx, state.phi.ny, dx, dy, phi_new),
-        temp=Field(state.temp.nx, state.temp.ny, dx, dy, temp_new),
+        phi=Field(state.phi.nx, state.phi.ny, dx, dy, embed(phi_new, shape, window)),
+        temp=Field(
+            state.temp.nx, state.temp.ny, dx, dy,
+            state.temp.data.copy() if freeze_temperature else embed(temp_new, shape, window),
+        ),
         step=new_step,
         time=new_step * p.dt,
     )

@@ -13,12 +13,14 @@ from dendrosim.lattice import (
     Field,
     central_gradient,
     divisors,
+    embed,
     gradient_arrays,
     laplacian9_arrays,
     lattice_sum,
     nine_point_laplacian,
     periodic_pad,
     shifted,
+    support_window,
     wrap_index,
 )
 
@@ -102,6 +104,69 @@ class TestWrapAndShift:
     def test_periodic_pad_wraps_every_border_cell(self, shape):
         a = np.random.default_rng(31).normal(size=shape)
         np.testing.assert_array_equal(periodic_pad(a), np.pad(a, 1, mode="wrap"))
+
+
+class TestSupportWindow:
+    SHAPE = (20, 30)
+
+    def window(self, a_cells=(), b_cells=(), fill=0.0):
+        a = np.full(self.SHAPE, fill)
+        b = np.full(self.SHAPE, fill)
+        for i, j in a_cells:
+            a[i, j] = 1.0
+        for i, j in b_cells:
+            b[i, j] = -2.5
+        return support_window(a, b, 3)
+
+    def test_all_zero_pair_is_one_cell_at_origin(self):
+        assert self.window() == (slice(0, 1), slice(0, 1))
+
+    def test_centred_blob_widened_by_reach(self):
+        assert self.window([(9, 14), (10, 16)]) == (slice(6, 14), slice(11, 20))
+
+    def test_cells_of_both_arrays_count(self):
+        assert self.window([(9, 14)], [(12, 20)]) == (slice(6, 16), slice(11, 24))
+
+    @pytest.mark.parametrize(
+        "cell, expected",
+        [
+            ((2, 14), (slice(0, 20), slice(11, 18))),
+            ((17, 14), (slice(0, 20), slice(11, 18))),
+            ((9, 2), (slice(6, 13), slice(0, 30))),
+            ((9, 27), (slice(6, 13), slice(0, 30))),
+        ],
+        ids=["top", "bottom", "left", "right"],
+    )
+    def test_blob_within_reach_of_an_edge_takes_that_axis_whole(self, cell, expected):
+        assert self.window([cell]) == expected
+        assert self.window([], [cell]) == expected
+
+    def test_blob_just_outside_the_frame_keeps_a_window(self):
+        assert self.window([(3, 3), (16, 26)]) == (slice(0, 20), slice(0, 30))
+        assert self.window([(3, 3)]) == (slice(0, 7), slice(0, 7))
+        assert self.window([(16, 26)]) == (slice(13, 20), slice(23, 30))
+
+    def test_blob_straddling_the_wrap_takes_the_whole_grid(self):
+        assert self.window([(0, 0), (19, 29), (0, 29), (19, 0)]) == (slice(0, 20), slice(0, 30))
+
+    def test_negative_zero_counts_as_zero(self):
+        assert self.window(fill=-0.0) == (slice(0, 1), slice(0, 1))
+        assert self.window([(9, 14)], fill=-0.0) == (slice(6, 13), slice(11, 18))
+
+    def test_nan_counts_as_nonzero(self):
+        a = np.zeros(self.SHAPE)
+        a[9, 14] = np.nan
+        assert support_window(a, np.zeros(self.SHAPE), 3) == (slice(6, 13), slice(11, 18))
+        a[0, 14] = np.nan
+        assert support_window(np.zeros(self.SHAPE), a, 3) == (slice(0, 20), slice(11, 18))
+
+    def test_embed_writes_into_zeros_and_keeps_a_whole_grid_array(self):
+        a = np.arange(1.0, 7.0).reshape(2, 3)
+        out = embed(a, (4, 5), (slice(1, 3), slice(2, 5)))
+        expected = np.zeros((4, 5))
+        expected[1:3, 2:5] = a
+        assert out.tobytes() == expected.tobytes()
+        assert embed(a, (2, 3), (slice(0, 2), slice(0, 3))) is a
 
 
 class TestGradient:

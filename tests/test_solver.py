@@ -7,12 +7,13 @@ import pytest
 
 import reference as R
 from dendrosim.diagnostics import free_energy
-from dendrosim.lattice import CENTERED, PAPER_CODE, Field, lattice_sum
+from dendrosim.lattice import CENTERED, PAPER_CODE, Field, lattice_sum, support_window
 from dendrosim.physics import ModelParams, RngStream, m_of_temperature
 from dendrosim.solver import (
     BlowupError,
     SimParams,
     SimState,
+    WINDOW_REACH,
     initialize,
     run,
     stability_check,
@@ -224,6 +225,48 @@ class TestStepAgainstRollStep:
         np.testing.assert_array_equal(st.phi.data, phi)
         np.testing.assert_array_equal(st.temp.data, temp)
 
+    @pytest.mark.parametrize("layout", ["centred", "row-edge", "corner", "negative-zero"])
+    @pytest.mark.parametrize("j_mode", [4, 6])
+    @pytest.mark.parametrize("paper_div", [True, False])
+    @pytest.mark.parametrize("bug", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_seeded_window_steps_bitwise(self, layout, j_mode, paper_div, bug, frozen):
+        # a small seed in a zero melt: step updates only the window around it
+        nx, ny = 40, 47
+        mp = ModelParams(noise_amp=0.01, j_mode=j_mode)
+        p = SimParams(
+            nx=nx, ny=ny, model=mp, seed_radius_sq=4.0,
+            divisor_mode=PAPER_CODE if paper_div else CENTERED,
+            replicate_appendix_bug=bug, total_steps=30,
+        )
+        st = initialize(p)
+        phi, temp = st.phi.data, st.temp.data
+        if layout == "row-edge":
+            phi = np.roll(phi, nx // 2, axis=0)
+        elif layout == "corner":
+            phi = np.roll(phi, (nx // 2, ny // 2), axis=(0, 1))
+        elif layout == "negative-zero":
+            far = np.logical_or.outer(np.arange(nx) % 5 == 0, np.arange(ny) % 7 == 0)
+            phi = np.where(far & (phi == 0.0), -0.0, phi)
+            temp = np.where(far, -0.0, temp)
+        st = SimState(phi=Field.from_array(phi, p.dx), temp=Field.from_array(temp, p.dx))
+        stream, twin_stream = RngStream(5), RngStream(5)
+        areas = []
+        for _ in range(p.total_steps):
+            rows, cols = support_window(st.phi.data, st.temp.data, WINDOW_REACH)
+            areas.append((rows.stop - rows.start) * (cols.stop - cols.start))
+            st = step(st, p, rng=stream, freeze_temperature=frozen)
+            phi, temp = R.roll_step(
+                phi, temp, mp, p.dx, p.dt, paper_divisor=paper_div, replicate_bug=bug,
+                chi=twin_stream.uniform_sym((nx, ny)), freeze_temperature=frozen,
+            )
+            assert st.phi.data.tobytes() == phi.tobytes()
+            assert st.temp.data.tobytes() == temp.tobytes()
+        if layout == "corner":
+            assert areas[0] == nx * ny
+        else:
+            assert areas[0] < nx * ny / 2 and areas[-1] == nx * ny
+
 
 class TestNoRolledCopies:
     def test_step_and_free_energy_never_call_np_roll(self, monkeypatch):
@@ -290,6 +333,22 @@ class TestBlowup:
         assert err.field_name in ("phi", "temp")
         assert isinstance(err.cell, tuple) and len(err.cell) == 2
         assert "non-finite" in str(err)
+
+    def test_window_blowup_reports_whole_grid_cell(self):
+        p = small_params(nx=48, ny=48, dt=1.0, seed_radius_sq=4.0, allow_unstable=True)
+        st = initialize(p)
+        phi, temp = st.phi.data, st.temp.data
+        with pytest.raises(BlowupError) as exc_info:
+            for _ in range(50):
+                rows, cols = support_window(st.phi.data, st.temp.data, WINDOW_REACH)
+                st = step(st, p)
+                phi, temp = R.roll_step(phi, temp, p.model, p.dx, p.dt)
+        err = exc_info.value
+        phi, temp = R.roll_step(phi, temp, p.model, p.dx, p.dt)
+        name, bad = ("phi", phi) if not np.isfinite(phi).all() else ("temp", temp)
+        assert (err.step, err.field_name) == (st.step + 1, name)
+        assert err.cell == tuple(int(k) for k in np.argwhere(~np.isfinite(bad))[0])
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) < p.nx * p.ny
 
     def test_run_emits_last_good_state_before_failing(self):
         p = small_params(nx=16, ny=16, dt=1.0, total_steps=400,
