@@ -37,11 +37,7 @@ from .lattice import (
     CENTERED,
     PAPER_CODE,
     Field,
-    central_gradient,
     lattice_sum,
-    nine_point_laplacian,
-    shifted,
-    wrap_index,
 )
 from .physics import (
     ModelParams,
@@ -77,7 +73,6 @@ __all__ = [
     "SimState",
     "SnapshotFormatError",
     "arm_count",
-    "central_gradient",
     "conservation_sum",
     "double_well",
     "epsilon_of_theta",
@@ -88,7 +83,6 @@ __all__ = [
     "lattice_sum",
     "m_of_temperature",
     "measure",
-    "nine_point_laplacian",
     "noise_term",
     "params_from_dict",
     "params_to_dict",
@@ -97,12 +91,10 @@ __all__ = [
     "read_snapshot",
     "reaction_term",
     "run",
-    "shifted",
     "solid_fraction",
     "stability_check",
     "step",
     "tip_extent",
-    "wrap_index",
     "write_diagnostics_csv",
     "write_field_csv",
     "write_manifest",

@@ -215,7 +215,7 @@ def cmd_render(args) -> int:
             write_pgm(field, args.out)
         if args.csv is not None:
             write_field_csv(field, args.csv)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

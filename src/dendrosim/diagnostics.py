@@ -47,22 +47,18 @@ def tip_extent(phi: Field, direction: str) -> float:
     ci, cj = phi.nx // 2, phi.ny // 2
     if direction == "+x":
         ray = phi.data[ci:, cj]
-        spacing = phi.dx
     elif direction == "-x":
         ray = phi.data[ci::-1, cj]
-        spacing = phi.dx
     elif direction == "+y":
         ray = phi.data[ci, cj:]
-        spacing = phi.dy
     elif direction == "-y":
         ray = phi.data[ci, cj::-1]
-        spacing = phi.dy
     else:
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     solid = np.nonzero(ray >= SOLID_THRESHOLD)[0]
     if solid.size == 0:
         return 0.0
-    return float(solid[-1]) * spacing
+    return float(solid[-1]) * phi.dx
 
 
 def _radius_profile(phi: Field) -> np.ndarray:
@@ -77,7 +73,7 @@ def _radius_profile(phi: Field) -> np.ndarray:
     center shifts every sector by exactly 90.
     """
     solid = phi.data >= SOLID_THRESHOLD
-    nx, ny, dx, dy = phi.nx, phi.ny, phi.dx, phi.dy
+    nx, ny, dx = phi.nx, phi.ny, phi.dx
     di = np.broadcast_to(np.arange(nx)[:, None] - nx // 2, (nx, ny))
     dj = np.broadcast_to(np.arange(ny)[None, :] - ny // 2, (nx, ny))
 
@@ -93,12 +89,12 @@ def _radius_profile(phi: Field) -> np.ndarray:
     profile = np.zeros(360)
     if u.size == 0:
         return profile
-    radius = np.hypot(u * dx, v * dy)
+    radius = np.hypot(u * dx, v * dx)
     # folded cells have u >= 1, so all four corners stay in the open right
     # half-plane and corner angles span less than a half turn
     deg = 180.0 / np.pi
     xm, xp = (u - 0.5) * dx, (u + 0.5) * dx
-    ym, yp = (v - 0.5) * dy, (v + 0.5) * dy
+    ym, yp = (v - 0.5) * dx, (v + 0.5) * dx
     c1 = np.arctan2(ym, xm) * deg
     c2 = np.arctan2(ym, xp) * deg
     c3 = np.arctan2(yp, xm) * deg
@@ -156,17 +152,17 @@ def free_energy(phi: Field, m_field: Field, p: ModelParams) -> float:
     """
     if (phi.nx, phi.ny) != (m_field.nx, m_field.ny):
         raise ValueError("phi and m fields must have identical extents")
-    gx, gy = gradient_arrays(phi.data, phi.dx, phi.dy, CENTERED)
+    gx, gy = gradient_arrays(phi.data, phi.dx, CENTERED)
     theta = interface_angle(gx, gy)
     eps, _ = epsilon_of_theta(theta, p)
     density = double_well(phi.data, m_field.data) + 0.5 * eps * eps * (gx * gx + gy * gy)
-    return lattice_sum(Field(phi.nx, phi.ny, phi.dx, phi.dy, density))
+    return lattice_sum(Field(density, phi.dx))
 
 
 def measure(state, p: ModelParams) -> DiagnosticsRecord:
     """All per-sample scalars for one state."""
     phi, temp = state.phi, state.temp
-    m_field = Field.from_array(m_of_temperature(temp.data, p), temp.dx, temp.dy)
+    m_field = Field(m_of_temperature(temp.data, p), temp.dx)
     return DiagnosticsRecord(
         step=state.step,
         time=state.time,

@@ -188,7 +188,7 @@ def read_snapshot(path) -> tuple[Field, dict]:
         )
     try:
         data = np.frombuffer(payload, dtype="<f8").reshape(nx, ny)
-        field = Field.from_array(data.copy(), dx)
+        field = Field(data.copy(), dx)
     except ValueError as exc:
         raise SnapshotFormatError(f"invalid snapshot header: {exc}") from None
     return field, meta
@@ -198,8 +198,12 @@ def write_pgm(field: Field, path) -> None:
     """8-bit binary graymap of a field, clamped to [0, 1], round-half-up.
 
     Image width is nx and height ny; row 0 (top) is the j = ny-1 grid row, so
-    +y points up when viewed.
+    +y points up when viewed.  A NaN cell has no gray level and is a
+    ValueError; +-inf clamp to 1 and 0.
     """
+    nan = np.argwhere(np.isnan(field.data))
+    if nan.size:
+        raise ValueError(f"cannot render NaN cell ({nan[0, 0]}, {nan[0, 1]}) as a gray level")
     q = np.clip(field.data, 0.0, 1.0)
     pixels = np.floor(q * 255.0 + 0.5).astype(np.uint8)
     img = np.ascontiguousarray(pixels.T[::-1, :])

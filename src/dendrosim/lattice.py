@@ -18,67 +18,46 @@ DIVISOR_MODES = (PAPER_CODE, CENTERED)
 
 @dataclass
 class Field:
-    """Scalar values on a periodic nx-by-ny lattice with cell spacing (dx, dy)."""
+    """Scalar values on a periodic nx-by-ny lattice of square cells of side dx."""
 
-    nx: int
-    ny: int
-    dx: float
-    dy: float
     data: np.ndarray
+    dx: float
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3:
-            raise ValueError(f"grid extents must be >= 3, got {self.nx}x{self.ny}")
-        if not 0.0 < self.dx < math.inf or not 0.0 < self.dy < math.inf:
-            raise ValueError(
-                f"cell spacing must be positive and finite, got dx={self.dx}, dy={self.dy}"
-            )
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.nx, self.ny):
+        if self.data.ndim != 2 or min(self.data.shape) < 3:
             raise ValueError(
-                f"data shape {self.data.shape} does not match extents {self.nx}x{self.ny}"
+                f"grid extents must be >= 3, got {'x'.join(map(str, self.data.shape))}"
             )
+        if not 0.0 < self.dx < math.inf:
+            raise ValueError(f"cell spacing must be positive and finite, got dx={self.dx}")
+
+    @property
+    def nx(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.data.shape[1]
 
     @classmethod
-    def zeros(cls, nx: int, ny: int, dx: float, dy: float | None = None) -> "Field":
-        dy = dx if dy is None else dy
-        return cls(nx, ny, dx, dy, np.zeros((nx, ny)))
-
-    @classmethod
-    def from_array(cls, data, dx: float, dy: float | None = None) -> "Field":
-        data = np.asarray(data, dtype=np.float64)
-        dy = dx if dy is None else dy
-        return cls(data.shape[0], data.shape[1], dx, dy, data)
+    def zeros(cls, nx: int, ny: int, dx: float) -> "Field":
+        return cls(np.zeros((nx, ny)), dx)
 
     def copy(self) -> "Field":
-        return Field(self.nx, self.ny, self.dx, self.dy, self.data.copy())
+        return Field(self.data.copy(), self.dx)
 
 
-def wrap_index(i: int, n: int) -> int:
-    """Map an integer index onto [0, n) by periodic wrap (-1 -> n-1, n -> 0)."""
-    return i % n
-
-
-def shifted(a: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Array of values at (i+di, j+dj), wrapping periodically."""
-    out = a
-    if di:
-        out = np.roll(out, -di, axis=0)
-    if dj:
-        out = np.roll(out, -dj, axis=1)
-    return out
-
-
-def divisors(dx: float, dy: float, mode: str) -> tuple[float, float]:
-    """Denominators of the central x/y differences for the given divisor mode.
+def divisors(dx: float, mode: str) -> float:
+    """Denominator of the central differences for the given divisor mode.
 
     paper_code divides f(i+1) - f(i-1) by the bare spacing, which doubles the
     usual centered estimate; centered divides by twice the spacing.
     """
     if mode == PAPER_CODE:
-        return dx, dy
+        return dx
     if mode == CENTERED:
-        return 2.0 * dx, 2.0 * dy
+        return 2.0 * dx
     raise ValueError(f"unknown divisor_mode {mode!r}, expected one of {DIVISOR_MODES}")
 
 
@@ -135,30 +114,23 @@ def embed(a: np.ndarray, shape: tuple[int, int], window: tuple[slice, slice]) ->
     return out
 
 
-def gradient_arrays(a: np.ndarray, dx: float, dy: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic central differences (df/dx, df/dy) on a raw array."""
-    xdiv, ydiv = divisors(dx, dy, mode)
+def gradient_arrays(a: np.ndarray, dx: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic central differences (df/dx, df/dy) on a raw array; see
+    `divisors` for the two modes."""
+    div = divisors(dx, mode)
     h = periodic_pad(a)
-    gx = (h[2:, 1:-1] - h[:-2, 1:-1]) / xdiv
-    gy = (h[1:-1, 2:] - h[1:-1, :-2]) / ydiv
+    gx = (h[2:, 1:-1] - h[:-2, 1:-1]) / div
+    gy = (h[1:-1, 2:] - h[1:-1, :-2]) / div
     return gx, gy
 
 
-def central_gradient(f: Field, mode: str = PAPER_CODE) -> tuple[Field, Field]:
-    """Gradient of a Field with periodic wrap; see `divisors` for the two modes."""
-    gx, gy = gradient_arrays(f.data, f.dx, f.dy, mode)
-    return Field.from_array(gx, f.dx, f.dy), Field.from_array(gy, f.dx, f.dy)
-
-
-def laplacian9_arrays(a: np.ndarray, dx: float, dy: float) -> np.ndarray:
+def laplacian9_arrays(a: np.ndarray, dx: float) -> np.ndarray:
     """Nine-point Laplacian [edges 2, diagonals 1, center -12] / (3 dx^2).
 
-    Requires square cells.  Neighbor contributions are accumulated in
-    opposite-pair order, which keeps the stencil bitwise equivariant under the
-    square's symmetries (pair sums only swap or commute under D4).
+    Neighbor contributions are accumulated in opposite-pair order, which
+    keeps the stencil bitwise equivariant under the square's symmetries (pair
+    sums only swap or commute under D4).
     """
-    if dx != dy:
-        raise ValueError(f"nine-point Laplacian requires square cells, got dx={dx}, dy={dy}")
     h = periodic_pad(a)
     xp = h[2:, 1:-1]
     xm = h[:-2, 1:-1]
@@ -171,12 +143,8 @@ def laplacian9_arrays(a: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * a) / (3.0 * dx * dx)
 
 
-def nine_point_laplacian(f: Field) -> Field:
-    return Field.from_array(laplacian9_arrays(f.data, f.dx, f.dy), f.dx, f.dy)
-
-
 def lattice_sum(f: Field) -> float:
-    """Sum of all cells times the cell area; the cell sum is correctly rounded.
+    """Sum of all cells times the cell area dx^2; the cell sum is correctly rounded.
 
     The cell sum is the float64 nearest the exact sum of the n cells, as
     math.fsum gives it, so it is the same on every numpy build and for any
@@ -197,7 +165,7 @@ def lattice_sum(f: Field) -> float:
     top = float(np.max(np.abs(r)))
     scale = (r.size + 1).bit_length()
     if not math.isfinite(top) or math.frexp(top)[1] + scale > 1023:
-        return float(np.sum(r)) * f.dx * f.dy
+        return float(np.sum(r)) * f.dx * f.dx
     parts = []
     while top:
         sigma = math.ldexp(1.0, scale + math.frexp(top)[1])
@@ -210,4 +178,4 @@ def lattice_sum(f: Field) -> float:
         parts.append(float(np.sum(q)))
         r = r - q
         top = float(np.max(np.abs(r)))
-    return math.fsum(parts) * f.dx * f.dy
+    return math.fsum(parts) * f.dx * f.dx

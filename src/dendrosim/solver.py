@@ -139,8 +139,8 @@ def initialize(p: SimParams) -> SimState:
     phi = np.where(di * di + dj * dj < p.seed_radius_sq, 1.0, 0.0)
     temp = np.zeros((p.nx, p.ny))
     return SimState(
-        phi=Field.from_array(phi, p.dx),
-        temp=Field.from_array(temp, p.dx),
+        phi=Field(phi, p.dx),
+        temp=Field(temp, p.dx),
         step=0,
         time=0.0,
     )
@@ -152,7 +152,9 @@ def step(
     rng: RngStream | None = None,
     freeze_temperature: bool = False,
 ) -> SimState:
-    """Advance one step.
+    """Advance one step on cells of side p.dx, the spacing the stability
+    check in SimParams passed; a state field of another spacing is a
+    ValueError.
 
     Only the window around the nonzero cells of phi and T is updated (see
     lattice.support_window and WINDOW_REACH); every cell outside it is +0.0
@@ -181,18 +183,20 @@ def step(
     scalars left over from the last raster cell, reproducing the circulated
     reference code's stale-variable behavior.
     """
+    for name, f in (("phi", state.phi), ("temp", state.temp)):
+        if f.dx != p.dx:
+            raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     mp = p.model
+    dx = p.dx
     shape = state.phi.data.shape
     window = support_window(state.phi.data, state.temp.data, WINDOW_REACH)
     # contiguous, so the ufuncs below run the same loops as on the whole grid
     phi = np.ascontiguousarray(state.phi.data[window])
     temp = np.ascontiguousarray(state.temp.data[window])
-    dx = state.phi.dx
-    dy = state.phi.dy
 
-    gx, gy = gradient_arrays(phi, dx, dy, p.divisor_mode)
-    lap_phi = laplacian9_arrays(phi, dx, dy)
-    lap_t = laplacian9_arrays(temp, dx, dy)
+    gx, gy = gradient_arrays(phi, dx, p.divisor_mode)
+    lap_phi = laplacian9_arrays(phi, dx)
+    lap_t = laplacian9_arrays(temp, dx)
 
     theta = interface_angle(gx, gy)
     eps, eps_prime = epsilon_of_theta(theta, mp)
@@ -201,7 +205,7 @@ def step(
     qx = periodic_pad(flux * gx)
     qy = periodic_pad(flux * gy)
 
-    ge2x, ge2y = gradient_arrays(eps2, dx, dy, p.divisor_mode)
+    ge2x, ge2y = gradient_arrays(eps2, dx, p.divisor_mode)
     if p.replicate_appendix_bug:
         # stale scalars from the last cell visited by the reference code
         ge2x = np.full_like(ge2x, ge2x[-1, -1])
@@ -214,10 +218,10 @@ def step(
         # drawn for the whole grid, so the stream does not depend on the window
         chi = rng.uniform_sym(shape)[window]
 
-    xdiv, ydiv = divisors(dx, dy, p.divisor_mode)
+    div = divisors(dx, p.divisor_mode)
     dt_over_tau = p.dt / mp.tau
-    term1 = (qx[1:-1, 2:] - qx[1:-1, :-2]) / ydiv
-    term2 = -(qy[2:, 1:-1] - qy[:-2, 1:-1]) / xdiv
+    term1 = (qx[1:-1, 2:] - qx[1:-1, :-2]) / div
+    term2 = -(qy[2:, 1:-1] - qy[:-2, 1:-1]) / div
     term3 = ge2x * gx + ge2y * gy
     m = m_of_temperature(temp, mp)
     rhs = (term1 + term2) + term3 + (eps2 * lap_phi + reaction_term(phi, m))
@@ -238,10 +242,9 @@ def step(
             raise BlowupError(new_step, name, cell)
 
     return SimState(
-        phi=Field(state.phi.nx, state.phi.ny, dx, dy, embed(phi_new, shape, window)),
+        phi=Field(embed(phi_new, shape, window), dx),
         temp=Field(
-            state.temp.nx, state.temp.ny, dx, dy,
-            state.temp.data.copy() if freeze_temperature else embed(temp_new, shape, window),
+            state.temp.data.copy() if freeze_temperature else embed(temp_new, shape, window), dx
         ),
         step=new_step,
         time=new_step * p.dt,

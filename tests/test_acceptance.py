@@ -75,8 +75,8 @@ def test_acceptance_02_uniform_fixed_points(acceptance):
     outcomes = []
     for phi_value, temp_value in ((0.0, 0.0), (1.0, 0.3)):
         st = SimState(
-            phi=Field.from_array(np.full((64, 64), phi_value), p.dx),
-            temp=Field.from_array(np.full((64, 64), temp_value), p.dx),
+            phi=Field(np.full((64, 64), phi_value), p.dx),
+            temp=Field(np.full((64, 64), temp_value), p.dx),
         )
         for _ in range(100):
             st = step(st, p)
@@ -217,7 +217,7 @@ def test_acceptance_10_isotropic_energy_decay(acceptance):
     st = initialize(p)
 
     def energy(state):
-        m_field = Field.from_array(
+        m_field = Field(
             m_of_temperature(state.temp.data, p.model), state.temp.dx
         )
         return free_energy(state.phi, m_field, p.model)

@@ -8,6 +8,7 @@ from dendrosim.io import (
     DIAGNOSTICS_HEADER,
     read_manifest,
     read_snapshot,
+    write_snapshot,
 )
 
 BASE = ["--set", "nx=24", "--set", "ny=24", "--set", "total_steps=30",
@@ -218,6 +219,18 @@ class TestRender:
         assert main(["render", str(broken), "--out", str(tmp_path / "r.pgm")]) == 1
         assert "cell spacing must be positive" in capsys.readouterr().err
 
+    def test_nan_cell_snapshot_fails_without_pgm(self, snapshot, tmp_path, capsys):
+        field, meta = read_snapshot(snapshot)
+        field.data[3, 5] = np.nan
+        broken = tmp_path / "nan-cell.pfds"
+        write_snapshot(field, broken, name=meta["field"], step=meta["step"], dt=meta["dt"])
+        target = tmp_path / "r.pgm"
+        assert main(["render", str(broken), "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot render NaN cell (3, 5)")
+        assert "Traceback" not in err
+        assert not target.exists()
+
     def test_missing_snapshot_fails(self, tmp_path, capsys):
         assert main(["render", str(tmp_path / "nope.pfds"),
                      "--out", str(tmp_path / "r.pgm")]) == 1
@@ -292,6 +305,12 @@ class TestSweep:
 
 
 class TestTopLevel:
+    def test_every_public_name_resolves(self):
+        import dendrosim
+
+        missing = [name for name in dendrosim.__all__ if not hasattr(dendrosim, name)]
+        assert missing == []
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "dendrosim" in capsys.readouterr().out

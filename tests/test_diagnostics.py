@@ -23,7 +23,7 @@ def disk_field(n, r_cells, dx=DX, value=1.0):
     c = n // 2
     ii, jj = np.meshgrid(np.arange(n) - c, np.arange(n) - c, indexing="ij")
     phi = np.where(ii * ii + jj * jj <= r_cells * r_cells, value, 0.0)
-    return Field.from_array(phi, dx)
+    return Field(phi, dx)
 
 
 def star_field(n, r0, amp, lobes, dx=DX, phase=0.0):
@@ -33,23 +33,23 @@ def star_field(n, r0, amp, lobes, dx=DX, phase=0.0):
     r = np.hypot(ii, jj)
     th = np.arctan2(jj, ii)
     solid = r <= r0 * (1.0 + amp * np.cos(lobes * (th - phase)))
-    return Field.from_array(solid.astype(float), dx)
+    return Field(solid.astype(float), dx)
 
 
 class TestSolidFraction:
     def test_extremes(self):
         assert solid_fraction(Field.zeros(8, 8, DX)) == 0.0
-        assert solid_fraction(Field.from_array(np.ones((8, 8)), DX)) == 1.0
+        assert solid_fraction(Field(np.ones((8, 8)), DX)) == 1.0
 
     def test_half_and_half(self):
         a = np.full((10, 10), 0.1)
         a[:5] = 0.9
-        assert solid_fraction(Field.from_array(a, DX)) == 0.5
+        assert solid_fraction(Field(a, DX)) == 0.5
 
     def test_threshold_is_inclusive(self):
         a = np.zeros((4, 4))
         a[0, 0] = 0.5
-        assert solid_fraction(Field.from_array(a, DX)) == 1.0 / 16.0
+        assert solid_fraction(Field(a, DX)) == 1.0 / 16.0
 
 
 class TestTipExtent:
@@ -77,7 +77,7 @@ class TestTipExtent:
         a[c - 3, c] = 1.0
         a[c, c + 2] = 1.0
         a[c, c - 5] = 1.0
-        f = Field.from_array(a, DX)
+        f = Field(a, DX)
         assert tip_extent(f, "+x") == 6 * DX
         assert tip_extent(f, "-x") == 3 * DX
         assert tip_extent(f, "+y") == 2 * DX
@@ -89,7 +89,7 @@ class TestTipExtent:
 
     def test_subthreshold_offset_changes_nothing(self):
         base = disk_field(31, 8.0)
-        shifted_values = Field.from_array(base.data + 0.49, DX)
+        shifted_values = Field(base.data + 0.49, DX)
         assert solid_fraction(shifted_values) == solid_fraction(base)
         for d in ("+x", "-x", "+y", "-y"):
             assert tip_extent(shifted_values, d) == tip_extent(base, d)
@@ -122,10 +122,10 @@ class TestArmCount:
         r = np.hypot(ii, jj)
         th = np.arctan2(jj, ii)
         ragged = r <= 28.0 * (1.0 + 0.25 * np.cos(5 * th)) + rng.normal(0.0, 0.7, (n, n))
-        base = Field.from_array(ragged.astype(float), DX)
+        base = Field(ragged.astype(float), DX)
         expected = arm_count(base)
         for k in (1, 2, 3):
-            rot = Field.from_array(R.rotated90(base.data, k), DX)
+            rot = Field(R.rotated90(base.data, k), DX)
             assert arm_count(rot) == expected
 
     def test_window_knob_accepted(self):
@@ -141,7 +141,7 @@ class TestConservationSum:
 
     def test_all_solid_cold_bath(self):
         st = SimState(
-            phi=Field.from_array(np.ones((100, 100)), DX),
+            phi=Field(np.ones((100, 100)), DX),
             temp=Field.zeros(100, 100, DX),
         )
         assert conservation_sum(st, 1.8) == pytest.approx(-16.2, rel=1e-12)
@@ -164,16 +164,16 @@ class TestFreeEnergy:
     def test_all_solid_well_depth(self):
         p = ModelParams()
         m_value = 0.3
-        phi = Field.from_array(np.ones((16, 16)), DX)
-        m = Field.from_array(np.full((16, 16), m_value), DX)
+        phi = Field(np.ones((16, 16)), DX)
+        m = Field(np.full((16, 16), m_value), DX)
         area = 16 * 16 * DX * DX
         assert free_energy(phi, m, p) == pytest.approx(-m_value / 6.0 * area, rel=1e-12)
 
     def test_uniform_field_is_pointwise_density_times_area(self):
         p = ModelParams()
         value, m_value = 0.3, 0.1
-        phi = Field.from_array(np.full((16, 16), value), DX)
-        m = Field.from_array(np.full((16, 16), m_value), DX)
+        phi = Field(np.full((16, 16), value), DX)
+        m = Field(np.full((16, 16), m_value), DX)
         expected = 256 * double_well(value, m_value) * DX * DX
         assert free_energy(phi, m, p) == expected
 
@@ -219,7 +219,7 @@ class TestMeasure:
         st = initialize(p)
         warm = SimState(
             phi=st.phi.copy(),
-            temp=Field.from_array(np.full((32, 32), p.model.t_eq), st.temp.dx),
+            temp=Field(np.full((32, 32), p.model.t_eq), st.temp.dx),
         )
         e_cold = measure(st, p.model).free_energy
         e_warm = measure(warm, p.model).free_energy

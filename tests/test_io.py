@@ -200,21 +200,21 @@ class TestSnapshot:
     def test_small_field_round_trips_bitwise(self, tmp_path):
         values = np.array(
             [
-                [0.0, 1.0, 0.5],
-                [0.25, -0.0, np.pi],
-                [1e-300, 5e-324, -1.7e308],
+                [0.0, 1.0, 0.5, -1.0],
+                [0.25, -0.0, np.pi, 2.0],
+                [1e-300, 5e-324, -1.7e308, 7.5],
             ]
         )
-        f = Field.from_array(values, 0.03)
+        f = Field(values, 0.05)
         path = tmp_path / "f.pfds"
         write_snapshot(f, path, name="phi", step=7, dt=1e-4)
         g, meta = read_snapshot(path)
-        assert g.data.tobytes() == f.data.tobytes()
-        assert (g.nx, g.ny, g.dx, g.dy) == (3, 3, 0.03, 0.03)
+        assert g.data.tobytes() == f.data.tobytes() == values.tobytes()
+        assert (g.nx, g.ny, g.dx) == (f.nx, f.ny, f.dx) == (3, 4, 0.05)
         assert meta == {"step": 7, "dt": 1e-4, "field": "phi"}
 
     def test_random_field_round_trips_bitwise(self, tmp_path):
-        f = Field.from_array(np.random.default_rng(0).normal(size=(17, 9)), 0.25)
+        f = Field(np.random.default_rng(0).normal(size=(17, 9)), 0.25)
         path = tmp_path / "f.pfds"
         write_snapshot(f, path)
         g, _ = read_snapshot(path)
@@ -317,19 +317,19 @@ class TestPgm:
     def test_matches_longhand_writer(self, tmp_path):
         a = np.random.default_rng(3).uniform(-0.3, 1.3, size=(13, 7))
         path = tmp_path / "f.pgm"
-        write_pgm(Field.from_array(a, 0.03), path)
+        write_pgm(Field(a, 0.03), path)
         assert path.read_bytes() == R.naive_pgm_bytes(a)
 
     def test_solid_field_saturates_white(self, tmp_path):
         path = tmp_path / "f.pgm"
-        write_pgm(Field.from_array(np.ones((4, 4)), 0.03), path)
+        write_pgm(Field(np.ones((4, 4)), 0.03), path)
         header, pixels = self.read(path)
         assert header == b"P5\n4 4\n255\n"
         assert pixels == b"\xff" * 16
 
     def test_midpoint_rounds_half_up(self, tmp_path):
         path = tmp_path / "f.pgm"
-        write_pgm(Field.from_array(np.full((3, 3), 0.5), 0.03), path)
+        write_pgm(Field(np.full((3, 3), 0.5), 0.03), path)
         _, pixels = self.read(path)
         assert pixels == bytes([128] * 9)
 
@@ -337,8 +337,10 @@ class TestPgm:
         a = np.zeros((3, 3))
         a[0, 0] = 1.3
         a[1, 1] = -0.2
+        a[2, 2] = np.inf
+        a[0, 2] = -np.inf
         path = tmp_path / "f.pgm"
-        write_pgm(Field.from_array(a, 0.03), path)
+        write_pgm(Field(a, 0.03), path)
         _, pixels = self.read(path)
         assert max(pixels) == 255
         assert sorted(set(pixels)) == [0, 255]
@@ -347,7 +349,7 @@ class TestPgm:
         a = np.zeros((4, 4))
         a[0, 3] = 1.0  # smallest x, largest y -> top-left pixel
         path = tmp_path / "f.pgm"
-        write_pgm(Field.from_array(a, 0.03), path)
+        write_pgm(Field(a, 0.03), path)
         _, pixels = self.read(path)
         assert pixels[0] == 255
         assert pixels.count(b"\xff") == 1
@@ -355,9 +357,17 @@ class TestPgm:
     def test_depends_only_on_values(self, tmp_path):
         a = np.random.default_rng(5).uniform(size=(6, 6))
         p1, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
-        write_pgm(Field.from_array(a, 0.03), p1)
-        write_pgm(Field.from_array(a, 2.0), p2)
+        write_pgm(Field(a, 0.03), p1)
+        write_pgm(Field(a, 2.0), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_nan_cell_rejected_before_writing(self, tmp_path):
+        a = np.full((4, 4), 0.5)
+        a[2, 1] = np.nan
+        path = tmp_path / "f.pgm"
+        with pytest.raises(ValueError, match=r"NaN cell \(2, 1\)"):
+            write_pgm(Field(a, 0.03), path)
+        assert not path.exists()
 
 
 def sample_records():
@@ -401,7 +411,7 @@ class TestFieldCsv:
     def test_full_precision_round_trip(self, tmp_path):
         a = np.random.default_rng(11).normal(size=(5, 8))
         path = tmp_path / "f.csv"
-        write_field_csv(Field.from_array(a, 0.03), path)
+        write_field_csv(Field(a, 0.03), path)
         rows = [
             [float(tok) for tok in line.split(",")]
             for line in path.read_text().splitlines()

@@ -40,8 +40,8 @@ def small_params(**kwargs):
 
 def uniform_state(nx, ny, dx, phi_value, temp_value):
     return SimState(
-        phi=Field.from_array(np.full((nx, ny), float(phi_value)), dx),
-        temp=Field.from_array(np.full((nx, ny), float(temp_value)), dx),
+        phi=Field(np.full((nx, ny), float(phi_value)), dx),
+        temp=Field(np.full((nx, ny), float(temp_value)), dx),
         step=0,
         time=0.0,
     )
@@ -168,8 +168,8 @@ class TestStepAgainstOracle:
             replicate_appendix_bug=bug, total_steps=1,
         )
         st = SimState(
-            phi=Field.from_array(phi0.copy(), dx),
-            temp=Field.from_array(t0.copy(), dx),
+            phi=Field(phi0.copy(), dx),
+            temp=Field(t0.copy(), dx),
         )
         out = step(st, p, rng=FixedNoise(chi), freeze_temperature=frozen)
 
@@ -189,6 +189,16 @@ class TestStepAgainstOracle:
         p = small_params(model=ModelParams(noise_amp=0.01))
         with pytest.raises(ValueError, match="RngStream"):
             step(initialize(p), p)
+
+    @pytest.mark.parametrize("name", ["phi", "temp"])
+    def test_state_spacing_must_match_params(self, name):
+        # dt 1e-4 passes the stability gate on dx 0.03 but not on dx 0.005,
+        # where stepping blows up at step 8
+        p = small_params()
+        st = initialize(p)
+        setattr(st, name, Field(getattr(st, name).data, 0.005))
+        with pytest.raises(ValueError, match=rf"state {name} has dx=0\.005.*dx=0\.03"):
+            step(st, p)
 
     def test_input_state_left_untouched(self):
         p = small_params()
@@ -214,7 +224,7 @@ class TestStepAgainstRollStep:
             divisor_mode=PAPER_CODE if paper_div else CENTERED,
             replicate_appendix_bug=bug, total_steps=20,
         )
-        st = SimState(phi=Field.from_array(phi, dx), temp=Field.from_array(temp, dx))
+        st = SimState(phi=Field(phi, dx), temp=Field(temp, dx))
         stream, twin_stream = RngStream(5), RngStream(5)
         for _ in range(p.total_steps):
             st = step(st, p, rng=stream, freeze_temperature=frozen)
@@ -249,7 +259,7 @@ class TestStepAgainstRollStep:
             far = np.logical_or.outer(np.arange(nx) % 5 == 0, np.arange(ny) % 7 == 0)
             phi = np.where(far & (phi == 0.0), -0.0, phi)
             temp = np.where(far, -0.0, temp)
-        st = SimState(phi=Field.from_array(phi, p.dx), temp=Field.from_array(temp, p.dx))
+        st = SimState(phi=Field(phi, p.dx), temp=Field(temp, p.dx))
         stream, twin_stream = RngStream(5), RngStream(5)
         areas = []
         for _ in range(p.total_steps):
@@ -277,7 +287,7 @@ class TestNoRolledCopies:
         for mode in (PAPER_CODE, CENTERED):
             p = small_params(model=ModelParams(noise_amp=0.01), divisor_mode=mode)
             st = step(initialize(p), p, rng=RngStream(1))
-            m = Field.from_array(m_of_temperature(st.temp.data, p.model), p.dx)
+            m = Field(m_of_temperature(st.temp.data, p.model), p.dx)
             assert np.isfinite(free_energy(st.phi, m, p.model))
 
 
@@ -309,8 +319,8 @@ class TestTranslationEquivariance:
         shift = (5, -9)
         base = initialize(p)
         moved = SimState(
-            phi=Field.from_array(np.roll(base.phi.data, shift, axis=(0, 1)), p.dx),
-            temp=Field.from_array(np.roll(base.temp.data, shift, axis=(0, 1)), p.dx),
+            phi=Field(np.roll(base.phi.data, shift, axis=(0, 1)), p.dx),
+            temp=Field(np.roll(base.temp.data, shift, axis=(0, 1)), p.dx),
         )
         for _ in range(10):
             base = step(base, p)
