@@ -12,7 +12,14 @@ import numpy as np
 from scipy.signal import find_peaks
 
 from .lattice import CENTERED, Field, gradient_arrays, lattice_sum
-from .physics import ModelParams, double_well, epsilon_of_theta, interface_angle, m_of_temperature
+from .physics import (
+    ModelParams,
+    anisotropy_phase,
+    double_well,
+    epsilon_of_phase,
+    interface_angle,
+    m_of_temperature,
+)
 
 SOLID_THRESHOLD = 0.5
 
@@ -70,21 +77,25 @@ def _radius_profile(phi: Field) -> np.ndarray:
     empty, carving false notches into the profile.  The quadrant index comes
     from integer offset signs and the in-quadrant angles from folded
     first-quadrant offsets, so rotating the field by 90 degrees about the
-    center shifts every sector by exactly 90.
+    center shifts every sector by exactly 90.  Only the solid cells are
+    visited, and each sector's value is an exact max over the footprints that
+    cover it, so it does not depend on the order the cells are taken in.
     """
-    solid = phi.data >= SOLID_THRESHOLD
     nx, ny, dx = phi.nx, phi.ny, phi.dx
-    di = np.broadcast_to(np.arange(nx)[:, None] - nx // 2, (nx, ny))
-    dj = np.broadcast_to(np.arange(ny)[None, :] - ny // 2, (nx, ny))
+    # in raster order, the order a whole-grid boolean mask selects them in
+    cells = np.flatnonzero(phi.data >= SOLID_THRESHOLD)
+    di = cells // ny - nx // 2
+    dj = cells % ny - ny // 2
 
     q0 = (di > 0) & (dj >= 0)
     q1 = (dj > 0) & (di <= 0)
     q2 = (di < 0) & (dj <= 0)
     q3 = (dj < 0) & (di >= 0)
-    keep = solid & (q0 | q1 | q2 | q3)
-    quadrant = np.select([q0, q1, q2, q3], [0, 1, 2, 3], default=0)[keep]
-    u = np.select([q0, q1, q2, q3], [di, dj, -di, -dj], default=1)[keep].astype(float)
-    v = np.select([q0, q1, q2, q3], [dj, -di, -dj, di], default=0)[keep].astype(float)
+    keep = q0 | q1 | q2 | q3  # every cell but the center
+    quadrant = (q1 + 2 * q2 + 3 * q3)[keep]
+    di, dj = di[keep], dj[keep]
+    u = np.choose(quadrant, (di, dj, -di, -dj)).astype(float)
+    v = np.choose(quadrant, (dj, -di, -dj, di)).astype(float)
 
     profile = np.zeros(360)
     if u.size == 0:
@@ -101,11 +112,15 @@ def _radius_profile(phi: Field) -> np.ndarray:
     c4 = np.arctan2(yp, xp) * deg
     lo = np.floor(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))).astype(np.int64)
     hi = np.floor(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))).astype(np.int64)
-    base = quadrant * 90 + lo
-    span = hi - lo
-    for k in range(int(span.max()) + 1):
-        mask = span >= k
-        np.maximum.at(profile, (base[mask] + k) % 360, radius[mask])
+    # one (cell, sector) pair per sector a footprint covers: the cell's n
+    # pairs are consecutive, and the pair's offset within them is its index
+    # less the index of the cell's first pair
+    n = hi - lo + 1
+    first = np.cumsum(n) - n
+    sector = np.repeat(quadrant * 90 + lo - first, n)
+    sector += np.arange(sector.size)
+    sector %= 360
+    np.maximum.at(profile, sector, np.repeat(radius, n))
     return profile
 
 
@@ -153,8 +168,7 @@ def free_energy(phi: Field, m_field: Field, p: ModelParams) -> float:
     if (phi.nx, phi.ny) != (m_field.nx, m_field.ny):
         raise ValueError("phi and m fields must have identical extents")
     gx, gy = gradient_arrays(phi.data, phi.dx, CENTERED)
-    theta = interface_angle(gx, gy)
-    eps, _ = epsilon_of_theta(theta, p)
+    eps = epsilon_of_phase(anisotropy_phase(interface_angle(gx, gy), p), p)
     density = double_well(phi.data, m_field.data) + 0.5 * eps * eps * (gx * gx + gy * gy)
     return lattice_sum(Field(density, phi.dx))
 

@@ -153,8 +153,8 @@ def step(
     freeze_temperature: bool = False,
 ) -> SimState:
     """Advance one step on cells of side p.dx, the spacing the stability
-    check in SimParams passed; a state field of another spacing is a
-    ValueError.
+    check in SimParams passed; a state field of another spacing, or of
+    another shape than p.nx x p.ny, is a ValueError.
 
     Only the window around the nonzero cells of phi and T is updated (see
     lattice.support_window and WINDOW_REACH); every cell outside it is +0.0
@@ -184,6 +184,10 @@ def step(
     reference code's stale-variable behavior.
     """
     for name, f in (("phi", state.phi), ("temp", state.temp)):
+        if f.data.shape != (p.nx, p.ny):
+            raise ValueError(
+                f"state {name} has shape {f.nx}x{f.ny}, but the params have {p.nx}x{p.ny}"
+            )
         if f.dx != p.dx:
             raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     mp = p.model

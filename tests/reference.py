@@ -200,6 +200,72 @@ def roll_laplacian9(a, dx):
     return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * a) / (3.0 * dx * dx)
 
 
+def roll_epsilon(theta, mp):
+    """eps(theta) and eps'(theta) as whole-array expressions, in the
+    package's operation order."""
+    u = mp.j_mode * (theta - mp.theta0)
+    eps = mp.eps_bar * (1.0 + mp.delta * np.cos(u))
+    eps_prime = -mp.eps_bar * mp.j_mode * mp.delta * np.sin(u)
+    return eps, eps_prime
+
+
+def roll_free_energy(phi, m, mp, dx):
+    """Discrete free energy of phi in the bath m, summed with math.fsum.
+
+    Centered gradients, eps taken as the first of (eps, eps') and the well
+    density written out with products, all in the package's operation order;
+    math.fsum gives the correctly rounded cell sum that the package's
+    lattice_sum promises, so equal results are equal bits.
+    """
+    gx, gy = roll_gradient(phi, dx, dx, paper_divisor=False)
+    eps = roll_epsilon(np.arctan2(gy, gx), mp)[0]
+    p2 = phi * phi
+    well = 0.25 * (p2 * p2) - (0.5 - m / 3.0) * (p2 * phi) + (0.25 - 0.5 * m) * p2
+    density = well + 0.5 * eps * eps * (gx * gx + gy * gy)
+    return math.fsum(density.ravel().tolist()) * dx * dx
+
+
+def loop_radius_profile(phi):
+    """Max solid radius per one-degree sector, one np.maximum.at per sector
+    offset: the sector profile as first written, kept as the oracle of the
+    package's single-pass _radius_profile.  Solid means phi >= 0.5."""
+    solid = phi.data >= 0.5
+    nx, ny, dx = phi.nx, phi.ny, phi.dx
+    di = np.broadcast_to(np.arange(nx)[:, None] - nx // 2, (nx, ny))
+    dj = np.broadcast_to(np.arange(ny)[None, :] - ny // 2, (nx, ny))
+
+    q0 = (di > 0) & (dj >= 0)
+    q1 = (dj > 0) & (di <= 0)
+    q2 = (di < 0) & (dj <= 0)
+    q3 = (dj < 0) & (di >= 0)
+    keep = solid & (q0 | q1 | q2 | q3)
+    quadrant = np.select([q0, q1, q2, q3], [0, 1, 2, 3], default=0)[keep]
+    u = np.select([q0, q1, q2, q3], [di, dj, -di, -dj], default=1)[keep].astype(float)
+    v = np.select([q0, q1, q2, q3], [dj, -di, -dj, di], default=0)[keep].astype(float)
+
+    profile = np.zeros(360)
+    if u.size == 0:
+        return profile
+    radius = np.hypot(u * dx, v * dx)
+    # folded cells have u >= 1, so all four corners stay in the open right
+    # half-plane and corner angles span less than a half turn
+    deg = 180.0 / np.pi
+    xm, xp = (u - 0.5) * dx, (u + 0.5) * dx
+    ym, yp = (v - 0.5) * dx, (v + 0.5) * dx
+    c1 = np.arctan2(ym, xm) * deg
+    c2 = np.arctan2(ym, xp) * deg
+    c3 = np.arctan2(yp, xm) * deg
+    c4 = np.arctan2(yp, xp) * deg
+    lo = np.floor(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))).astype(np.int64)
+    hi = np.floor(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))).astype(np.int64)
+    base = quadrant * 90 + lo
+    span = hi - lo
+    for k in range(int(span.max()) + 1):
+        mask = span >= k
+        np.maximum.at(profile, (base[mask] + k) % 360, radius[mask])
+    return profile
+
+
 def roll_step(phi, temp, mp, dx, dt, paper_divisor=True,
               replicate_bug=False, chi=None, freeze_temperature=False):
     """One step of the whole-array scheme with every neighbour an np.roll copy.
@@ -212,10 +278,7 @@ def roll_step(phi, temp, mp, dx, dt, paper_divisor=True,
     lap_phi = roll_laplacian9(phi, dx)
     lap_t = roll_laplacian9(temp, dx)
 
-    theta = np.arctan2(gy, gx)
-    u = mp.j_mode * (theta - mp.theta0)
-    eps = mp.eps_bar * (1.0 + mp.delta * np.cos(u))
-    eps_prime = -mp.eps_bar * mp.j_mode * mp.delta * np.sin(u)
+    eps, eps_prime = roll_epsilon(np.arctan2(gy, gx), mp)
     eps2 = eps * eps
     flux = eps * eps_prime
     qx = flux * gx

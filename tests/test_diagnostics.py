@@ -1,10 +1,14 @@
 """Measurements: solid fraction, tip extents, arm counting, sums, energy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
 import reference as R
 from dendrosim.diagnostics import (
+    _radius_profile,
     arm_count,
     conservation_sum,
     free_energy,
@@ -12,8 +16,8 @@ from dendrosim.diagnostics import (
     solid_fraction,
     tip_extent,
 )
-from dendrosim.lattice import Field
-from dendrosim.physics import ModelParams, double_well, m_of_temperature
+from dendrosim.lattice import CENTERED, PAPER_CODE, Field
+from dendrosim.physics import ModelParams, RngStream, double_well, m_of_temperature
 from dendrosim.solver import SimParams, SimState, initialize, step
 
 DX = 0.03
@@ -93,6 +97,71 @@ class TestTipExtent:
         assert solid_fraction(shifted_values) == solid_fraction(base)
         for d in ("+x", "-x", "+y", "-y"):
             assert tip_extent(shifted_values, d) == tip_extent(base, d)
+
+
+def run_states(p, steps):
+    """The states of a run of `steps` steps after the initial one."""
+    st = initialize(p)
+    rng = RngStream(p.rng_seed)
+    for _ in range(steps):
+        st = step(st, p, rng)
+        yield st
+
+
+def assert_bitwise(actual, expected):
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestRadiusProfileAgainstLoop:
+    """_radius_profile against the per-sector-offset loop it replaced."""
+
+    @pytest.mark.parametrize("params, steps", [
+        (SimParams(nx=41, ny=40, model=ModelParams(noise_amp=0.01), rng_seed=5), 150),
+        (SimParams(nx=64, ny=64, model=ModelParams(j_mode=6, noise_amp=0.01), rng_seed=7,
+                   replicate_appendix_bug=True, divisor_mode=CENTERED), 300),
+    ])
+    def test_every_step_of_a_noisy_run(self, params, steps):
+        for st in run_states(params, steps):
+            assert_bitwise(_radius_profile(st.phi), R.loop_radius_profile(st.phi))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
+    def test_smallest_grids(self, shape):
+        rng = np.random.default_rng(3)
+        for phi in [np.ones(shape)] + [rng.random(shape) for _ in range(20)]:
+            f = Field(phi, DX)
+            assert_bitwise(_radius_profile(f), R.loop_radius_profile(f))
+
+    def test_all_liquid_is_zero(self):
+        f = Field.zeros(16, 17, DX)
+        assert_bitwise(_radius_profile(f), np.zeros(360))
+        assert_bitwise(R.loop_radius_profile(f), np.zeros(360))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (8, 8), (9, 6)])
+    def test_only_the_center_cell_solid_keeps_no_cell(self, shape):
+        a = np.zeros(shape)
+        a[shape[0] // 2, shape[1] // 2] = 1.0
+        f = Field(a, DX)
+        assert_bitwise(_radius_profile(f), np.zeros(360))
+        assert_bitwise(R.loop_radius_profile(f), np.zeros(360))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (8, 8), (9, 6)])
+    @pytest.mark.parametrize("corner", [(0, 0), (0, -1), (-1, 0), (-1, -1)])
+    def test_solid_corner_cell(self, shape, corner):
+        # a corner has the largest folded offsets u and v of the grid
+        a = np.zeros(shape)
+        a[corner] = 1.0
+        f = Field(a, DX)
+        profile = _radius_profile(f)
+        assert profile.max() > 0.0
+        assert_bitwise(profile, R.loop_radius_profile(f))
+
+    @given(hst.integers(3, 40), hst.integers(3, 40), hst.floats(1e-6, 1e3),
+           hst.floats(0.0, 1.0), hst.integers(0, 2**32 - 1))
+    def test_random_solid_masks(self, nx, ny, dx, density, seed):
+        rng = np.random.default_rng(seed)
+        # solid cells sit exactly on the threshold, liquid ones just below it
+        f = Field(np.where(rng.random((nx, ny)) < density, 0.5, 0.4999), dx)
+        assert_bitwise(_radius_profile(f), R.loop_radius_profile(f))
 
 
 class TestArmCount:
@@ -197,6 +266,62 @@ class TestFreeEnergy:
             current = measure(st, p.model).free_energy
             assert current <= previous + 1e-12 * abs(previous)
             previous = current
+
+
+class TestFreeEnergyAgainstLonghand:
+    @pytest.mark.parametrize("j_mode", [4, 6])
+    @pytest.mark.parametrize("divisor_mode", [PAPER_CODE, CENTERED])
+    def test_noisy_states_bitwise(self, j_mode, divisor_mode):
+        mp = ModelParams(j_mode=j_mode, noise_amp=0.01)
+        p = SimParams(nx=48, ny=48, model=mp, rng_seed=13, divisor_mode=divisor_mode)
+        for st in run_states(p, 120):
+            if st.step % 10:
+                continue
+            m = m_of_temperature(st.temp.data, mp)
+            expected = R.roll_free_energy(st.phi.data, m, mp, DX)
+            assert free_energy(st.phi, Field(m, DX), mp) == expected
+
+
+def tip_state(n, r0, amp, lobes, dx=DX):
+    """A star-shaped crystal with a tanh interface in a warm halo."""
+    c = n // 2
+    ii, jj = np.meshgrid(np.arange(n) - c, np.arange(n) - c, indexing="ij")
+    r = np.hypot(ii, jj)
+    th = np.arctan2(jj, ii)
+    phi = 0.5 * (1.0 - np.tanh((r - r0 * (1.0 + amp * np.cos(lobes * th))) / 1.5))
+    temp = 0.3 * np.exp(-r / 40.0)
+    return SimState(phi=Field(phi, dx), temp=Field(temp, dx))
+
+
+def peak_grid_arrays(fn, n):
+    """Peak memory that fn() allocates, in float64 n x n arrays."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n * n)
+
+
+class TestMemory:
+    """A sample's temporaries stay a few grid arrays, so sampling every step
+    does not raise a run's peak memory."""
+
+    N = 300
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        st = tip_state(self.N, 18.0, 0.3, 4)
+        assert 0.01 <= solid_fraction(st.phi) <= 0.02
+        return st
+
+    def test_radius_profile_peaks_below_two_grid_arrays(self, state):
+        assert peak_grid_arrays(lambda: _radius_profile(state.phi), self.N) < 2.0
+
+    def test_measure_peaks_at_ten_grid_arrays(self, state):
+        assert peak_grid_arrays(lambda: measure(state, ModelParams()), self.N) <= 10.0
 
 
 class TestMeasure:

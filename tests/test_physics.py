@@ -10,7 +10,9 @@ import reference as R
 from dendrosim.physics import (
     ModelParams,
     RngStream,
+    anisotropy_phase,
     double_well,
+    epsilon_of_phase,
     epsilon_of_theta,
     interface_angle,
     m_of_temperature,
@@ -128,6 +130,16 @@ class TestEpsilonOfTheta:
         for k, th in enumerate(thetas):
             e, ep = epsilon_of_theta(float(th), p)
             assert eps[k] == e and eps_prime[k] == ep
+
+    @pytest.mark.parametrize("j_mode", [4, 6])
+    def test_eps_alone_is_the_first_of_the_pair_bitwise(self, j_mode):
+        p = ModelParams(j_mode=j_mode, delta=0.04, theta0=0.3)
+        thetas = np.random.default_rng(8).uniform(-math.pi, math.pi, 500)
+        eps_alone = epsilon_of_phase(anisotropy_phase(thetas, p), p)
+        assert eps_alone.tobytes() == epsilon_of_theta(thetas, p)[0].tobytes()
+        eps, eps_prime = R.roll_epsilon(thetas, p)
+        assert eps.tobytes() == eps_alone.tobytes()
+        assert eps_prime.tobytes() == epsilon_of_theta(thetas, p)[1].tobytes()
 
 
 class TestDrivingForce:

@@ -200,6 +200,19 @@ class TestStepAgainstOracle:
         with pytest.raises(ValueError, match=rf"state {name} has dx=0\.005.*dx=0\.03"):
             step(st, p)
 
+    def test_phi_and_temp_shapes_must_agree(self):
+        p = small_params()
+        st = initialize(p)
+        st.temp = Field.zeros(16, 16, p.dx)
+        with pytest.raises(ValueError, match=r"state temp has shape 16x16.*32x32"):
+            step(st, p)
+
+    def test_state_shape_must_match_params(self):
+        p = small_params()
+        st = initialize(small_params(nx=40, ny=40))
+        with pytest.raises(ValueError, match=r"state phi has shape 40x40.*32x32"):
+            step(st, p)
+
     def test_input_state_left_untouched(self):
         p = small_params()
         st = initialize(p)
