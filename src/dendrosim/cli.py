@@ -13,13 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .io import (
     CONFIG_KEYS,
+    DIAGNOSTICS_FIELDS,
     ConfigError,
     SnapshotFormatError,
+    csv_row,
     format_config,
     params_from_dict,
     parse_config_text,
@@ -42,16 +43,14 @@ PRESETS = {
     "desk": {"nx": 300, "ny": 300, "total_steps": 1500},
 }
 
-SWEEP_HEADER = "value,status,solid_fraction,tip_px,tip_mx,tip_py,tip_my,arm_count"
+# a sweep summary row is a run's final morphology: no time stamp, no sums
+SWEEP_FIELDS = tuple(name for name in DIAGNOSTICS_FIELDS
+                     if name not in ("step", "time", "conservation_sum", "free_energy"))
+SWEEP_HEADER = ",".join(("value", "status", *SWEEP_FIELDS))
 
 
 def _versions() -> dict:
-    return {
-        "dendrosim": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-    }
+    return {"dendrosim": __version__, "python": platform.python_version(), "numpy": np.__version__}
 
 
 def _collect_overrides(args) -> dict:
@@ -174,10 +173,9 @@ def cmd_sweep(args) -> int:
     lines = [SWEEP_HEADER]
     for (tok, _), (code, last) in zip(plan, results):
         if code == 0 and last is not None:
-            lines.append(f"{tok},ok,{last.solid_fraction!r},{last.tip_px!r},"
-                         f"{last.tip_mx!r},{last.tip_py!r},{last.tip_my!r},{last.arm_count}")
+            lines.append(f"{tok},ok,{csv_row(last, SWEEP_FIELDS)}")
         else:
-            lines.append(f"{tok},failed,nan,nan,nan,nan,nan,nan")
+            lines.append(",".join((tok, "failed", *["nan"] * len(SWEEP_FIELDS))))
     with open(outroot / "sweep_summary.csv", "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     failed = sum(1 for code, _ in results if code != 0)

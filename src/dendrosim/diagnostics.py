@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .lattice import CENTERED, Field, gradient_arrays, lattice_sum
 from .physics import (
@@ -22,6 +21,11 @@ from .physics import (
 )
 
 SOLID_THRESHOLD = 0.5
+# arm_count: smoothing bins, and a peak's least rise above both saddles in grid
+# cells (lattice wiggle) and as a share of the full swing (side-branch shoulders)
+ARM_WINDOW = 5
+ARM_MIN_CELLS = 2.0
+ARM_MIN_SWING = 0.25
 
 _DIRECTIONS = ("+x", "-x", "+y", "-y")
 
@@ -124,34 +128,42 @@ def _radius_profile(phi: Field) -> np.ndarray:
     return profile
 
 
-def arm_count(phi: Field, window: int = 5, prominence_cells: float = 2.0,
-              rel_prominence: float = 0.25) -> int:
-    """Number of primary arms of the solid region.
+def _prominent_peaks(profile: np.ndarray, threshold: float) -> int:
+    """Peaks of a circular profile that rise >= threshold above both saddles.
+    One walk from the global minimum back to it tracks the trough until the
+    profile rises threshold above it, then the crest until it falls threshold
+    below that: one peak.  Of equal crests, the first met is the higher."""
+    start = int(np.argmin(profile))
+    values = profile.tolist()
+    trough = crest = values[start]
+    peaks, rising = 0, True
+    for x in values[start + 1:] + values[:start + 1]:
+        if rising:
+            if x < trough:
+                trough = x
+            elif x - trough >= threshold:
+                rising, crest = False, x
+        elif x > crest:
+            crest = x
+        elif crest - x >= threshold:
+            rising, trough = True, x
+            peaks += 1
+    return peaks
 
-    Builds the maximal solid radius over 360 one-degree sectors about the grid
-    center, smooths it with a circular moving average of `window` bins, and
-    counts circular local maxima.  A peak must rise above its saddles by both
-    prominence_cells grid cells (rejects lattice quantization wiggle) and
-    rel_prominence of the profile's full swing (rejects secondary side-branch
-    shoulders, which sit well below the primary-arm modulation).  A disk gives
-    0; a j-fold star gives j.
+
+def arm_count(phi: Field) -> int:
+    """Number of primary arms: peaks of the max solid radius over 360
+    one-degree sectors about the grid center, smoothed over ARM_WINDOW bins,
+    that clear both prominence floors.  A disk gives 0; a j-fold star gives j.
     """
     profile = _radius_profile(phi)
-    half = window // 2
-    smooth = sum(np.roll(profile, k) for k in range(-half, window - half)) / window
-
-    lo, hi = smooth.min(), smooth.max()
-    floor = prominence_cells * phi.dx
-    if hi - lo < floor:
+    half = ARM_WINDOW // 2
+    smooth = sum(np.roll(profile, k) for k in range(-half, ARM_WINDOW - half)) / ARM_WINDOW
+    swing = float(smooth.max() - smooth.min())
+    floor = ARM_MIN_CELLS * phi.dx
+    if swing < floor:
         return 0
-    threshold = max(floor, rel_prominence * (hi - lo))
-    # cut the circle at its global minimum: every circular local maximum then
-    # lies strictly inside the closed scan, is found exactly once, and its
-    # linear prominence equals the circular one
-    rolled = np.roll(smooth, -int(np.argmin(smooth)))
-    closed = np.concatenate([rolled, rolled[:1]])
-    peaks, _ = find_peaks(closed, prominence=threshold)
-    return int(len(peaks))
+    return _prominent_peaks(smooth, max(floor, ARM_MIN_SWING * swing))
 
 
 def conservation_sum(state, latent_heat: float) -> float:

@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .diagnostics import DiagnosticsRecord
 from .lattice import DIVISOR_MODES, Field
 from .physics import ModelParams
 from .solver import SimParams
@@ -212,20 +213,17 @@ def write_pgm(field: Field, path) -> None:
         fh.write(img.tobytes())
 
 
-DIAGNOSTICS_HEADER = (
-    "step,time,solid_fraction,tip_px,tip_mx,tip_py,tip_my,"
-    "conservation_sum,free_energy,arm_count"
-)
+DIAGNOSTICS_FIELDS = tuple(f.name for f in dataclasses.fields(DiagnosticsRecord))
+DIAGNOSTICS_HEADER = ",".join(DIAGNOSTICS_FIELDS)
+
+
+def csv_row(record, names=DIAGNOSTICS_FIELDS) -> str:
+    """The named fields of a record as one CSV line: repr for floats, str for ints."""
+    return ",".join(_format_value(getattr(record, name)) for name in names)
 
 
 def write_diagnostics_csv(records, path) -> None:
-    lines = [DIAGNOSTICS_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.step},{r.time!r},{r.solid_fraction!r},{r.tip_px!r},{r.tip_mx!r},"
-            f"{r.tip_py!r},{r.tip_my!r},{r.conservation_sum!r},{r.free_energy!r},"
-            f"{r.arm_count}"
-        )
+    lines = [DIAGNOSTICS_HEADER, *(csv_row(r) for r in records)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

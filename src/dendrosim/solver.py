@@ -137,13 +137,7 @@ def initialize(p: SimParams) -> SimState:
     di = np.arange(p.nx)[:, None] - p.nx // 2
     dj = np.arange(p.ny)[None, :] - p.ny // 2
     phi = np.where(di * di + dj * dj < p.seed_radius_sq, 1.0, 0.0)
-    temp = np.zeros((p.nx, p.ny))
-    return SimState(
-        phi=Field(phi, p.dx),
-        temp=Field(temp, p.dx),
-        step=0,
-        time=0.0,
-    )
+    return SimState(phi=Field(phi, p.dx), temp=Field.zeros(p.nx, p.ny, p.dx))
 
 
 def step(
@@ -271,9 +265,7 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
     rng = RngStream(p.rng_seed)
     records = []
 
-    def emit(st):
-        if on_snapshot is not None:
-            on_snapshot(st)
+    emit = on_snapshot or (lambda st: None)
 
     def sample(st):
         rec = measure(st, p.model)

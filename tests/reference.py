@@ -266,6 +266,47 @@ def loop_radius_profile(phi):
     return profile
 
 
+def walk_prominent_peaks(x, threshold):
+    """Peaks of the sequence x whose prominence is at least threshold.
+
+    scipy.signal.find_peaks(x, prominence=threshold) written longhand.  A
+    peak is a cell, or a run of equal cells, higher than the cells on both
+    sides; the first and last cells are never peaks.  From the peak, walk
+    left until a cell at least as high or the start, and right until a
+    higher cell or the end; the lowest cell passed on each side is that
+    side's saddle, and the prominence is the peak's height above the higher
+    saddle.  Stopping the left walk at an equal cell is the one tie rule
+    (scipy walks past it): of two equal peaks, the left one is the higher.
+    """
+    x = [float(v) for v in x]
+    n = len(x)
+    count = 0
+    i = 1
+    while i < n - 1:
+        if x[i - 1] >= x[i]:
+            i += 1
+            continue
+        top = x[i]
+        end = i  # last cell of the run of cells equal to x[i]
+        while end + 1 < n and x[end + 1] == top:
+            end += 1
+        if end + 1 < n and x[end + 1] < top:
+            left_min = top
+            k = i - 1
+            while k >= 0 and x[k] < top:
+                left_min = min(left_min, x[k])
+                k -= 1
+            right_min = top
+            k = end + 1
+            while k < n and x[k] <= top:
+                right_min = min(right_min, x[k])
+                k += 1
+            if top - max(left_min, right_min) >= threshold:
+                count += 1
+        i = end + 1
+    return count
+
+
 def roll_step(phi, temp, mp, dx, dt, paper_divisor=True,
               replicate_bug=False, chi=None, freeze_temperature=False):
     """One step of the whole-array scheme with every neighbour an np.roll copy.

@@ -1,8 +1,14 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dendrosim
 from dendrosim.cli import main
 from dendrosim.io import (
     DIAGNOSTICS_HEADER,
@@ -246,7 +252,7 @@ class TestSweep:
         assert (out / "latent_heat=1.0" / "phi_final.pgm").exists()
         assert (out / "latent_heat=2.0" / "phi_final.pgm").exists()
         summary = (out / "sweep_summary.csv").read_text().splitlines()
-        assert summary[0].startswith("value,status,")
+        assert summary[0] == "value,status,solid_fraction,tip_px,tip_mx,tip_py,tip_my,arm_count"
         assert summary[1].startswith("1.0,ok,")
         assert summary[2].startswith("2.0,ok,")
         assert "2/2 runs ok" in capsys.readouterr().out
@@ -305,6 +311,25 @@ class TestSweep:
 
 
 class TestTopLevel:
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        # 300 steps on 48x48 grow a profile whose swing clears the two-cell
+        # floor, so the run reaches the peak count and reads 4 arms
+        script = (
+            "import sys, dendrosim, dendrosim.cli\n"
+            "argv = ['run', '--set', 'nx=48', '--set', 'ny=48', '--set', 'total_steps=300',\n"
+            "        '--set', 'diagnostics_every=300', '--set', 'snapshot_every=300',\n"
+            "        '--out', sys.argv[1]]\n"
+            "assert dendrosim.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(dendrosim.__file__).resolve().parents[1])}
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+        last = (out / "diagnostics.csv").read_text().splitlines()[-1]
+        assert last.startswith("300,") and last.endswith(",4")
+
     def test_every_public_name_resolves(self):
         import dendrosim
 

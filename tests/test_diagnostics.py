@@ -8,6 +8,7 @@ from hypothesis import given, strategies as hst
 
 import reference as R
 from dendrosim.diagnostics import (
+    _prominent_peaks,
     _radius_profile,
     arm_count,
     conservation_sum,
@@ -197,10 +198,49 @@ class TestArmCount:
             rot = Field(R.rotated90(base.data, k), DX)
             assert arm_count(rot) == expected
 
-    def test_window_knob_accepted(self):
-        f = star_field(101, 30.0, 0.3, 4)
-        assert arm_count(f, window=7) == 4
-        assert arm_count(f, prominence_cells=1.0) == 4
+
+def closed(profile):
+    """The circular profile cut at its global minimum, that minimum repeated
+    at the end: the linear sequence whose peaks are the circle's peaks."""
+    rolled = np.roll(profile, -int(np.argmin(profile)))
+    return np.concatenate([rolled, rolled[:1]])
+
+
+@pytest.fixture(scope="module")
+def find_peaks():
+    return pytest.importorskip("scipy.signal").find_peaks
+
+
+THRESHOLDS = hst.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+
+
+class TestProminentPeaks:
+    @given(hst.lists(hst.integers(0, 6), min_size=3, max_size=361), THRESHOLDS)
+    def test_matches_longhand_walk_on_tied_profiles(self, values, threshold):
+        profile = np.array(values, dtype=float)
+        expected = R.walk_prominent_peaks(closed(profile), threshold)
+        assert _prominent_peaks(profile, threshold) == expected
+
+    @given(hst.lists(hst.integers(0, 6), min_size=3, max_size=361), THRESHOLDS,
+           hst.integers(0, 360))
+    def test_any_start_on_the_circle_gives_the_same_count(self, values, threshold, shift):
+        profile = np.array(values, dtype=float)
+        assert _prominent_peaks(np.roll(profile, shift), threshold) == \
+            _prominent_peaks(profile, threshold)
+
+    @given(hst.lists(hst.floats(0.0, 10.0), min_size=3, max_size=361, unique=True),
+           hst.floats(1e-3, 5.0))
+    def test_matches_scipy_on_tie_free_profiles(self, find_peaks, values, threshold):
+        profile = np.array(values)
+        expected = len(find_peaks(closed(profile), prominence=threshold)[0])
+        assert _prominent_peaks(profile, threshold) == expected
+
+    def test_equal_peaks_count_once(self):
+        # find_peaks counts 2: each equal peak's walk runs past the other, so
+        # both get prominence 5; a mirror-symmetric split tip is this profile
+        profile = np.array([0.0, 5.0, 3.0, 5.0, 0.0])
+        assert _prominent_peaks(profile, 4.0) == 1
+        assert R.walk_prominent_peaks(profile, 4.0) == 1
 
 
 class TestConservationSum:

@@ -390,6 +390,14 @@ class TestDiagnosticsCsv:
             "conservation_sum,free_energy,arm_count"
         )
 
+    def test_rows_are_exact_text(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_diagnostics_csv(sample_records(), path)
+        assert path.read_text().splitlines()[1:] == [
+            "0,0.0,0.001,0.12,0.12,0.12,0.12,-0.098,-0.003,0",
+            "100,0.01,0.012345678901234568,0.15,0.12,0.15,0.12,-0.0988,-0.0031,4",
+        ]
+
     def test_values_round_trip_through_text(self, tmp_path):
         records = sample_records()
         path = tmp_path / "d.csv"
