@@ -40,7 +40,6 @@ from .lattice import (
     lattice_sum,
 )
 from .physics import (
-    ModelParams,
     RngStream,
     double_well,
     epsilon_of_theta,
@@ -66,7 +65,6 @@ __all__ = [
     "ConfigError",
     "DiagnosticsRecord",
     "Field",
-    "ModelParams",
     "PAPER_CODE",
     "RngStream",
     "SimParams",

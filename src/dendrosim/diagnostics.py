@@ -12,7 +12,6 @@ import numpy as np
 
 from .lattice import CENTERED, Field, gradient_arrays, lattice_sum
 from .physics import (
-    ModelParams,
     anisotropy_phase,
     double_well,
     epsilon_of_phase,
@@ -171,8 +170,9 @@ def conservation_sum(state, latent_heat: float) -> float:
     return lattice_sum(state.temp) - latent_heat * lattice_sum(state.phi)
 
 
-def free_energy(phi: Field, m_field: Field, p: ModelParams) -> float:
-    """Discrete free energy: sum of the well density plus (eps^2/2)|grad phi|^2.
+def free_energy(phi: Field, m_field: Field, p) -> float:
+    """Discrete free energy: sum of the well density plus (eps^2/2)|grad phi|^2,
+    with eps from the model fields of p (a SimParams).
 
     Always uses centered-mode gradients regardless of the solver's divisor
     mode, so the diagnostic is comparable across configurations.
@@ -185,8 +185,8 @@ def free_energy(phi: Field, m_field: Field, p: ModelParams) -> float:
     return lattice_sum(Field(density, phi.dx))
 
 
-def measure(state, p: ModelParams) -> DiagnosticsRecord:
-    """All per-sample scalars for one state."""
+def measure(state, p) -> DiagnosticsRecord:
+    """All per-sample scalars for one state of a run with SimParams p."""
     phi, temp = state.phi, state.temp
     m_field = Field(m_of_temperature(temp.data, p), temp.dx)
     return DiagnosticsRecord(

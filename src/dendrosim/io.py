@@ -9,37 +9,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import typing
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
 from .lattice import DIVISOR_MODES, Field
-from .physics import ModelParams
-from .solver import SimParams
+from .solver import FIELD_TYPES, SimParams
 
 SNAPSHOT_MAGIC = b"PFDS1\n"
 
 
-def _key_types() -> dict:
-    """Config key -> value type, in document order: the SimParams fields with
-    the ModelParams fields in place of `model`.  allow_unstable is not a key;
-    it comes from the caller (the --force flag)."""
-    sim_types = typing.get_type_hints(SimParams)
-    model_types = typing.get_type_hints(ModelParams)
-    types = {}
-    for f in dataclasses.fields(SimParams):
-        if f.name == "model":
-            types.update((g.name, model_types[g.name]) for g in dataclasses.fields(ModelParams))
-        elif f.name != "allow_unstable":
-            types[f.name] = sim_types[f.name]
-    return types
-
-
-_KEY_TYPES = _key_types()
+# config key -> value type, in document order: the SimParams fields but
+# allow_unstable, which comes from the caller (the --force flag)
+_KEY_TYPES = {k: t for k, t in FIELD_TYPES.items() if k != "allow_unstable"}
 CONFIG_KEYS = tuple(_KEY_TYPES)
-_MODEL_KEYS = frozenset(f.name for f in dataclasses.fields(ModelParams))
 
 
 class ConfigError(ValueError):
@@ -93,17 +77,15 @@ def parse_config_text(text: str) -> dict:
 
 
 def params_from_dict(values: dict, allow_unstable: bool = False) -> SimParams:
-    """Build validated SimParams from a complete typed config dict."""
+    """Build validated SimParams from a typed config dict, partial or
+    complete, merged over the shipped defaults."""
     merged = params_to_dict(SimParams())
     for key, val in values.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
         merged[key] = val
-    model_kwargs = {k: merged[k] for k in _MODEL_KEYS}
-    sim_kwargs = {k: merged[k] for k in CONFIG_KEYS if k not in _MODEL_KEYS}
     try:
-        model = ModelParams(**model_kwargs)
-        return SimParams(model=model, allow_unstable=allow_unstable, **sim_kwargs)
+        return SimParams(**merged, allow_unstable=allow_unstable)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -115,7 +97,7 @@ def parse_config(text: str, allow_unstable: bool = False) -> SimParams:
 
 def params_to_dict(p: SimParams) -> dict:
     """Resolved params as a config key -> value dict in CONFIG_KEYS order."""
-    return {k: getattr(p.model if k in _MODEL_KEYS else p, k) for k in CONFIG_KEYS}
+    return {k: getattr(p, k) for k in CONFIG_KEYS}
 
 
 def _format_value(value) -> str:

@@ -110,11 +110,10 @@ def branchy_angle(gx, gy):
     return math.pi + math.atan(gy / gx)
 
 
-def reference_step(phi, temp, mp, dx, dt, paper_divisor=True,
-                   replicate_bug=False, chi=None, freeze_temperature=False):
+def reference_step(phi, temp, p, dx, dt, paper_divisor=True, replicate_bug=False, chi=None):
     """One explicit update of the coupled equations, written longhand.
 
-    mp is any object with eps_bar, delta, j_mode, theta0, alpha, gamma, t_eq,
+    p is any object with eps_bar, delta, j_mode, theta0, alpha, gamma, t_eq,
     latent_heat, tau, noise_amp attributes.  Returns (phi_new, temp_new).
     """
     nx, ny = phi.shape
@@ -129,9 +128,9 @@ def reference_step(phi, temp, mp, dx, dt, paper_divisor=True,
         for j in range(ny):
             th = math.atan2(gy[i, j], gx[i, j])
             theta[i, j] = th
-            u = mp.j_mode * (th - mp.theta0)
-            eps[i, j] = mp.eps_bar * (1.0 + mp.delta * math.cos(u))
-            epsp[i, j] = -mp.eps_bar * mp.j_mode * mp.delta * math.sin(u)
+            u = p.j_mode * (th - p.theta0)
+            eps[i, j] = p.eps_bar * (1.0 + p.delta * math.cos(u))
+            epsp[i, j] = -p.eps_bar * p.j_mode * p.delta * math.sin(u)
 
     eps2 = eps * eps
     ge2x, ge2y = naive_gradient(eps2, dx, dx, paper_divisor)
@@ -151,18 +150,15 @@ def reference_step(phi, temp, mp, dx, dt, paper_divisor=True,
             term2 = -(eps[ip, j] * epsp[ip, j] * gy[ip, j]
                       - eps[im, j] * epsp[im, j] * gy[im, j]) / ddx
             term3 = ge2x[i, j] * gx[i, j] + ge2y[i, j] * gy[i, j]
-            m = mp.alpha / math.pi * math.atan(mp.gamma * (mp.t_eq - temp[i, j]))
+            m = p.alpha / math.pi * math.atan(p.gamma * (p.t_eq - temp[i, j]))
             rhs = (term1 + term2 + term3
                    + eps2[i, j] * lap_phi[i, j]
                    + phi[i, j] * (1.0 - phi[i, j]) * (phi[i, j] - 0.5 + m))
             if chi is not None:
-                rhs += mp.noise_amp * phi[i, j] * (1.0 - phi[i, j]) * chi[i, j]
-            dphi = rhs * dt / mp.tau
+                rhs += p.noise_amp * phi[i, j] * (1.0 - phi[i, j]) * chi[i, j]
+            dphi = rhs * dt / p.tau
             phi_new[i, j] = phi[i, j] + dphi
-            if freeze_temperature:
-                temp_new[i, j] = temp[i, j]
-            else:
-                temp_new[i, j] = temp[i, j] + dt * lap_t[i, j] + mp.latent_heat * dphi
+            temp_new[i, j] = temp[i, j] + dt * lap_t[i, j] + p.latent_heat * dphi
     return phi_new, temp_new
 
 
@@ -200,16 +196,16 @@ def roll_laplacian9(a, dx):
     return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * a) / (3.0 * dx * dx)
 
 
-def roll_epsilon(theta, mp):
+def roll_epsilon(theta, p):
     """eps(theta) and eps'(theta) as whole-array expressions, in the
     package's operation order."""
-    u = mp.j_mode * (theta - mp.theta0)
-    eps = mp.eps_bar * (1.0 + mp.delta * np.cos(u))
-    eps_prime = -mp.eps_bar * mp.j_mode * mp.delta * np.sin(u)
+    u = p.j_mode * (theta - p.theta0)
+    eps = p.eps_bar * (1.0 + p.delta * np.cos(u))
+    eps_prime = -p.eps_bar * p.j_mode * p.delta * np.sin(u)
     return eps, eps_prime
 
 
-def roll_free_energy(phi, m, mp, dx):
+def roll_free_energy(phi, m, p, dx):
     """Discrete free energy of phi in the bath m, summed with math.fsum.
 
     Centered gradients, eps taken as the first of (eps, eps') and the well
@@ -218,7 +214,7 @@ def roll_free_energy(phi, m, mp, dx):
     lattice_sum promises, so equal results are equal bits.
     """
     gx, gy = roll_gradient(phi, dx, dx, paper_divisor=False)
-    eps = roll_epsilon(np.arctan2(gy, gx), mp)[0]
+    eps = roll_epsilon(np.arctan2(gy, gx), p)[0]
     p2 = phi * phi
     well = 0.25 * (p2 * p2) - (0.5 - m / 3.0) * (p2 * phi) + (0.25 - 0.5 * m) * p2
     density = well + 0.5 * eps * eps * (gx * gx + gy * gy)
@@ -307,8 +303,7 @@ def walk_prominent_peaks(x, threshold):
     return count
 
 
-def roll_step(phi, temp, mp, dx, dt, paper_divisor=True,
-              replicate_bug=False, chi=None, freeze_temperature=False):
+def roll_step(phi, temp, p, dx, dt, paper_divisor=True, replicate_bug=False, chi=None):
     """One step of the whole-array scheme with every neighbour an np.roll copy.
 
     The same array expressions in the same order as the package's step, so
@@ -319,7 +314,7 @@ def roll_step(phi, temp, mp, dx, dt, paper_divisor=True,
     lap_phi = roll_laplacian9(phi, dx)
     lap_t = roll_laplacian9(temp, dx)
 
-    eps, eps_prime = roll_epsilon(np.arctan2(gy, gx), mp)
+    eps, eps_prime = roll_epsilon(np.arctan2(gy, gx), p)
     eps2 = eps * eps
     flux = eps * eps_prime
     qx = flux * gx
@@ -334,16 +329,13 @@ def roll_step(phi, temp, mp, dx, dt, paper_divisor=True,
     term1 = (rolled(qx, 0, 1) - rolled(qx, 0, -1)) / div
     term2 = -(rolled(qy, 1, 0) - rolled(qy, -1, 0)) / div
     term3 = ge2x * gx + ge2y * gy
-    m = (mp.alpha / np.pi) * np.arctan(mp.gamma * (mp.t_eq - temp))
+    m = (p.alpha / np.pi) * np.arctan(p.gamma * (p.t_eq - temp))
     rhs = (term1 + term2) + term3 + (eps2 * lap_phi + phi * (1.0 - phi) * (phi - 0.5 + m))
     if chi is not None:
-        rhs = rhs + mp.noise_amp * phi * (1.0 - phi) * chi
-    dphi = rhs * (dt / mp.tau)
+        rhs = rhs + p.noise_amp * phi * (1.0 - phi) * chi
+    dphi = rhs * (dt / p.tau)
     phi_new = phi + dphi
-    if freeze_temperature:
-        temp_new = temp.copy()
-    else:
-        temp_new = temp + dt * lap_t + mp.latent_heat * dphi
+    temp_new = temp + dt * lap_t + p.latent_heat * dphi
     return phi_new, temp_new
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,13 +10,16 @@ import numpy as np
 import pytest
 
 import dendrosim
-from dendrosim.cli import main
+from dendrosim.cli import PRESETS, main
 from dendrosim.io import (
+    CONFIG_KEYS,
     DIAGNOSTICS_HEADER,
     read_manifest,
     read_snapshot,
     write_snapshot,
 )
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 BASE = ["--set", "nx=24", "--set", "ny=24", "--set", "total_steps=30",
         "--set", "snapshot_every=15", "--set", "diagnostics_every=10"]
@@ -370,3 +374,14 @@ class TestTopLevel:
         err = capsys.readouterr().err
         key = setting.partition("=")[0]
         assert err.startswith(f"config error: {key} must be finite")
+
+
+class TestReadme:
+    def test_config_key_block_lists_the_keys_in_order(self):
+        section = README.split("\n## Configuration\n", 1)[1]
+        block = section.split("```\n", 2)[1]
+        assert block.split() == list(CONFIG_KEYS)
+
+    def test_preset_table_names_every_preset(self):
+        names = re.findall(r"^\| `([\w-]+)` +\|", README, flags=re.MULTILINE)
+        assert names == list(PRESETS)

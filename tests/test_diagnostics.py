@@ -18,7 +18,7 @@ from dendrosim.diagnostics import (
     tip_extent,
 )
 from dendrosim.lattice import CENTERED, PAPER_CODE, Field
-from dendrosim.physics import ModelParams, RngStream, double_well, m_of_temperature
+from dendrosim.physics import RngStream, double_well, m_of_temperature
 from dendrosim.solver import SimParams, SimState, initialize, step
 
 DX = 0.03
@@ -117,8 +117,8 @@ class TestRadiusProfileAgainstLoop:
     """_radius_profile against the per-sector-offset loop it replaced."""
 
     @pytest.mark.parametrize("params, steps", [
-        (SimParams(nx=41, ny=40, model=ModelParams(noise_amp=0.01), rng_seed=5), 150),
-        (SimParams(nx=64, ny=64, model=ModelParams(j_mode=6, noise_amp=0.01), rng_seed=7,
+        (SimParams(nx=41, ny=40, noise_amp=0.01, rng_seed=5), 150),
+        (SimParams(nx=64, ny=64, j_mode=6, noise_amp=0.01, rng_seed=7,
                    replicate_appendix_bug=True, divisor_mode=CENTERED), 300),
     ])
     def test_every_step_of_a_noisy_run(self, params, steps):
@@ -258,20 +258,20 @@ class TestConservationSum:
     def test_invariant_across_one_step(self):
         p = SimParams(nx=64, ny=64)
         st = initialize(p)
-        before = conservation_sum(st, p.model.latent_heat)
-        after = conservation_sum(step(st, p), p.model.latent_heat)
+        before = conservation_sum(st, p.latent_heat)
+        after = conservation_sum(step(st, p), p.latent_heat)
         assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
 class TestFreeEnergy:
     def test_all_liquid_is_zero(self):
-        p = ModelParams()
+        p = SimParams()
         phi = Field.zeros(16, 16, DX)
         m = Field.zeros(16, 16, DX)
         assert free_energy(phi, m, p) == 0.0
 
     def test_all_solid_well_depth(self):
-        p = ModelParams()
+        p = SimParams()
         m_value = 0.3
         phi = Field(np.ones((16, 16)), DX)
         m = Field(np.full((16, 16), m_value), DX)
@@ -279,7 +279,7 @@ class TestFreeEnergy:
         assert free_energy(phi, m, p) == pytest.approx(-m_value / 6.0 * area, rel=1e-12)
 
     def test_uniform_field_is_pointwise_density_times_area(self):
-        p = ModelParams()
+        p = SimParams()
         value, m_value = 0.3, 0.1
         phi = Field(np.full((16, 16), value), DX)
         m = Field(np.full((16, 16), m_value), DX)
@@ -287,23 +287,24 @@ class TestFreeEnergy:
         assert free_energy(phi, m, p) == expected
 
     def test_mismatched_extents_rejected(self):
-        p = ModelParams()
+        p = SimParams()
         with pytest.raises(ValueError, match="extents"):
             free_energy(Field.zeros(8, 8, DX), Field.zeros(8, 9, DX), p)
 
     def test_gradient_term_is_positive(self):
-        p = ModelParams()
+        p = SimParams()
         phi = disk_field(31, 8.0)
         m = Field.zeros(31, 31, DX)
         assert free_energy(phi, m, p) > 0.0
 
     def test_decays_under_isotropic_gradient_flow(self):
-        p = SimParams(nx=32, ny=32, model=ModelParams(delta=0.0), seed_radius_sq=12.0)
+        # no latent heat: T stays +0.0 from the start, so the bath is fixed
+        p = SimParams(nx=32, ny=32, delta=0.0, latent_heat=0.0, seed_radius_sq=12.0)
         st = initialize(p)
-        previous = measure(st, p.model).free_energy
+        previous = measure(st, p).free_energy
         for _ in range(50):
-            st = step(st, p, freeze_temperature=True)
-            current = measure(st, p.model).free_energy
+            st = step(st, p)
+            current = measure(st, p).free_energy
             assert current <= previous + 1e-12 * abs(previous)
             previous = current
 
@@ -312,14 +313,14 @@ class TestFreeEnergyAgainstLonghand:
     @pytest.mark.parametrize("j_mode", [4, 6])
     @pytest.mark.parametrize("divisor_mode", [PAPER_CODE, CENTERED])
     def test_noisy_states_bitwise(self, j_mode, divisor_mode):
-        mp = ModelParams(j_mode=j_mode, noise_amp=0.01)
-        p = SimParams(nx=48, ny=48, model=mp, rng_seed=13, divisor_mode=divisor_mode)
+        p = SimParams(nx=48, ny=48, j_mode=j_mode, noise_amp=0.01, rng_seed=13,
+                      divisor_mode=divisor_mode)
         for st in run_states(p, 120):
             if st.step % 10:
                 continue
-            m = m_of_temperature(st.temp.data, mp)
-            expected = R.roll_free_energy(st.phi.data, m, mp, DX)
-            assert free_energy(st.phi, Field(m, DX), mp) == expected
+            m = m_of_temperature(st.temp.data, p)
+            expected = R.roll_free_energy(st.phi.data, m, p, DX)
+            assert free_energy(st.phi, Field(m, DX), p) == expected
 
 
 def tip_state(n, r0, amp, lobes, dx=DX):
@@ -361,19 +362,19 @@ class TestMemory:
         assert peak_grid_arrays(lambda: _radius_profile(state.phi), self.N) < 2.0
 
     def test_measure_peaks_at_ten_grid_arrays(self, state):
-        assert peak_grid_arrays(lambda: measure(state, ModelParams()), self.N) <= 10.0
+        assert peak_grid_arrays(lambda: measure(state, SimParams()), self.N) <= 10.0
 
 
 class TestMeasure:
     def test_initial_state_record(self):
         p = SimParams(nx=128, ny=128)
         st = initialize(p)
-        rec = measure(st, p.model)
+        rec = measure(st, p)
         count, _ = R.disk_cells(20.0)
         assert (rec.step, rec.time) == (0, 0.0)
         assert rec.solid_fraction == count / (128 * 128)
         assert rec.tip_px == rec.tip_mx == rec.tip_py == rec.tip_my == 4 * DX
-        assert rec.conservation_sum == pytest.approx(-p.model.latent_heat * count * DX * DX, rel=1e-12)
+        assert rec.conservation_sum == pytest.approx(-p.latent_heat * count * DX * DX, rel=1e-12)
         assert rec.arm_count == 0
         # supercooled bath: the tilted solid well outweighs the interface term
         assert np.isfinite(rec.free_energy) and rec.free_energy < 0.0
@@ -384,11 +385,11 @@ class TestMeasure:
         st = initialize(p)
         warm = SimState(
             phi=st.phi.copy(),
-            temp=Field(np.full((32, 32), p.model.t_eq), st.temp.dx),
+            temp=Field(np.full((32, 32), p.t_eq), st.temp.dx),
         )
-        e_cold = measure(st, p.model).free_energy
-        e_warm = measure(warm, p.model).free_energy
-        m_cold = float(m_of_temperature(0.0, p.model))
+        e_cold = measure(st, p).free_energy
+        e_warm = measure(warm, p).free_energy
+        m_cold = float(m_of_temperature(0.0, p))
         assert e_warm != e_cold
         assert e_cold < e_warm  # supercooling tilts the solid well downward
         assert m_cold > 0.0

@@ -66,7 +66,7 @@ class TestConfigParsing:
     def test_comments_and_blanks_ignored(self):
         text = "# latent heat study\n\n   \nlatent_heat = 2.0\n# done\n"
         p = parse_config(text)
-        assert p.model.latent_heat == 2.0
+        assert p.latent_heat == 2.0
         assert p.nx == 500
 
     def test_single_override_keeps_other_defaults(self):
@@ -176,7 +176,7 @@ class TestConfigRoundTrip:
             ]
         )
         p = parse_config(text)
-        assert p.model.j_mode == 6
+        assert p.j_mode == 6
         assert p.replicate_appendix_bug is True
         assert parse_config(format_config(p)) == p
 
@@ -455,7 +455,7 @@ class TestManifest:
         assert doc["created_utc"].startswith("20")
 
     def test_params_reparse_to_identical_simparams(self, tmp_path):
-        p = SimParams(dx=0.05, dt=2e-4, model=SimParams().model)
+        p = SimParams(dx=0.05, dt=2e-4)
         path = tmp_path / "manifest.json"
         write_manifest(path, p, [], {})
         doc = read_manifest(path)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import reference as R
+from dendrosim.solver import SimParams
 from dendrosim.physics import (
-    ModelParams,
     RngStream,
     anisotropy_phase,
     double_well,
@@ -24,8 +24,10 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestModelParams:
+    """The ten model constants, fields of SimParams."""
+
     def test_defaults(self):
-        p = ModelParams()
+        p = SimParams()
         assert (p.tau, p.eps_bar, p.delta, p.j_mode) == (3e-4, 0.01, 0.01, 4)
         assert (p.theta0, p.alpha, p.gamma, p.t_eq) == (1.57, 0.9, 10.0, 1.0)
         assert (p.latent_heat, p.noise_amp) == (1.8, 0.0)
@@ -47,11 +49,11 @@ class TestModelParams:
     )
     def test_invalid_values_name_the_field(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
-            ModelParams(**kwargs)
+            SimParams(**kwargs)
 
     def test_zero_anisotropy_coefficient_allowed(self):
         # eps_bar = 0 removes phase diffusion entirely; useful for limits
-        assert ModelParams(eps_bar=0.0).eps_bar == 0.0
+        assert SimParams(eps_bar=0.0).eps_bar == 0.0
 
 
 class TestInterfaceAngle:
@@ -78,7 +80,7 @@ class TestInterfaceAngle:
             assert min(diff, TWO_PI - diff) < 1e-12, (gx, gy)
 
     def test_scale_invariance_through_anisotropy(self):
-        p = ModelParams()
+        p = SimParams()
         for gx, gy in [(0.3, -0.7), (-1.0, 2.0), (5.0, 5.0)]:
             for scale in (1e-6, 1.0, 1e6):
                 a = epsilon_of_theta(interface_angle(gx, gy), p)
@@ -89,26 +91,26 @@ class TestInterfaceAngle:
 
 class TestEpsilonOfTheta:
     def test_preferred_direction_extremum(self):
-        p = ModelParams(eps_bar=0.02, delta=0.05, j_mode=6, theta0=0.4)
+        p = SimParams(eps_bar=0.02, delta=0.05, j_mode=6, theta0=0.4)
         eps, eps_prime = epsilon_of_theta(0.4, p)
         assert eps == pytest.approx(0.02 * 1.05, rel=1e-15)
         assert eps_prime == 0.0
 
     def test_isotropic_limit(self):
-        p = ModelParams(delta=0.0)
+        p = SimParams(delta=0.0)
         for theta in np.linspace(-7.0, 7.0, 17):
             eps, eps_prime = epsilon_of_theta(theta, p)
             assert eps == p.eps_bar
             assert eps_prime == 0.0
 
     def test_quarter_turn_off_axis_example(self):
-        p = ModelParams(eps_bar=0.01, delta=0.02, j_mode=4, theta0=0.0)
+        p = SimParams(eps_bar=0.01, delta=0.02, j_mode=4, theta0=0.0)
         eps, eps_prime = epsilon_of_theta(math.pi / 4.0, p)
         assert eps == pytest.approx(0.0098, rel=1e-14)
         assert eps_prime == pytest.approx(0.0, abs=1e-18)
 
     def test_periodicity_in_mode_angle(self):
-        p = ModelParams(j_mode=6, delta=0.04)
+        p = SimParams(j_mode=6, delta=0.04)
         for theta in np.linspace(0.0, TWO_PI, 50):
             a = epsilon_of_theta(theta, p)
             b = epsilon_of_theta(theta + TWO_PI / p.j_mode, p)
@@ -116,7 +118,7 @@ class TestEpsilonOfTheta:
             assert abs(a[1] - b[1]) < 1e-14
 
     def test_derivative_matches_finite_difference(self):
-        p = ModelParams(delta=0.03, j_mode=4)
+        p = SimParams(delta=0.03, j_mode=4)
         h = 1e-7
         thetas = np.linspace(-math.pi, math.pi, 1000)
         _, eps_prime = epsilon_of_theta(thetas, p)
@@ -124,7 +126,7 @@ class TestEpsilonOfTheta:
         assert np.max(np.abs(eps_prime - fd)) < 1e-7
 
     def test_vectorized_matches_scalar(self):
-        p = ModelParams()
+        p = SimParams()
         thetas = np.linspace(-1.0, 1.0, 7)
         eps, eps_prime = epsilon_of_theta(thetas, p)
         for k, th in enumerate(thetas):
@@ -133,7 +135,7 @@ class TestEpsilonOfTheta:
 
     @pytest.mark.parametrize("j_mode", [4, 6])
     def test_eps_alone_is_the_first_of_the_pair_bitwise(self, j_mode):
-        p = ModelParams(j_mode=j_mode, delta=0.04, theta0=0.3)
+        p = SimParams(j_mode=j_mode, delta=0.04, theta0=0.3)
         thetas = np.random.default_rng(8).uniform(-math.pi, math.pi, 500)
         eps_alone = epsilon_of_phase(anisotropy_phase(thetas, p), p)
         assert eps_alone.tobytes() == epsilon_of_theta(thetas, p)[0].tobytes()
@@ -144,26 +146,26 @@ class TestEpsilonOfTheta:
 
 class TestDrivingForce:
     def test_zero_at_equilibrium(self):
-        assert m_of_temperature(1.0, ModelParams()) == 0.0
+        assert m_of_temperature(1.0, SimParams()) == 0.0
 
     def test_supercooled_bath_value(self):
         # (0.9/pi) * atan(10) evaluated with 40-digit arithmetic
-        m = m_of_temperature(0.0, ModelParams())
+        m = m_of_temperature(0.0, SimParams())
         assert m == pytest.approx(0.4214470343125018, abs=2e-16)
 
     def test_bounded_by_half_alpha(self):
-        p = ModelParams()
+        p = SimParams()
         for t in [-1e12, -10.0, 0.0, 0.5, 1.0, 2.0, 1e12]:
             assert abs(m_of_temperature(t, p)) < p.alpha / 2.0
 
     def test_strictly_decreasing_in_temperature(self):
-        p = ModelParams()
+        p = SimParams()
         ts = np.linspace(-5.0, 5.0, 300)
         ms = m_of_temperature(ts, p)
         assert (np.diff(ms) < 0.0).all()
 
     def test_deep_supercooling_limit(self):
-        p = ModelParams()
+        p = SimParams()
         assert m_of_temperature(-1e15, p) == pytest.approx(p.alpha / 2.0, rel=1e-10)
 
 
@@ -242,11 +244,6 @@ class TestRngStream:
         assert vals.min() >= -0.5
         assert vals.max() <= 0.5
         assert abs(vals.mean()) < 0.02
-
-    def test_scalar_draw(self):
-        v = RngStream(5).uniform_sym()
-        assert isinstance(v, float)
-        assert -0.5 <= v <= 0.5
 
     def test_shape_follows_request(self):
         assert RngStream(3).uniform_sym((4, 6)).shape == (4, 6)

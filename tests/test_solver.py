@@ -8,7 +8,7 @@ import pytest
 import reference as R
 from dendrosim.diagnostics import free_energy
 from dendrosim.lattice import CENTERED, PAPER_CODE, Field, lattice_sum, support_window
-from dendrosim.physics import ModelParams, RngStream, m_of_temperature
+from dendrosim.physics import RngStream, m_of_temperature
 from dendrosim.solver import (
     BlowupError,
     SimParams,
@@ -66,14 +66,14 @@ class TestStabilityCheck:
         assert not ok
 
     def test_zero_interface_width_removes_phase_bound(self):
-        p = SimParams(model=ModelParams(eps_bar=0.0))
+        p = SimParams(eps_bar=0.0)
         ok, dt_thermal, dt_phase = stability_check(p)
         assert ok
         assert math.isinf(dt_phase)
 
     def test_phase_bound_scales_with_peak_anisotropy(self):
-        loose = stability_check(SimParams(model=ModelParams(delta=0.0)))[2]
-        tight = stability_check(SimParams(model=ModelParams(delta=0.5)))[2]
+        loose = stability_check(SimParams(delta=0.0))[2]
+        tight = stability_check(SimParams(delta=0.5))[2]
         assert loose > tight
 
 
@@ -95,6 +95,17 @@ class TestSimParamsValidation:
     )
     def test_invalid_values_name_the_field(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
+            SimParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"j_mode": 4.0}, {"total_steps": 10.0}, {"replicate_appendix_bug": 1}, {"nx": 32.0}],
+    )
+    def test_int_and_bool_fields_reject_other_types(self, kwargs):
+        # such values would format as "4.0" or "1", which parse_config rejects,
+        # or reach initialize as a float grid extent
+        [(name, value)] = kwargs.items()
+        with pytest.raises(ValueError, match=rf"^{name} must be of type \w+, got {value!r}$"):
             SimParams(**kwargs)
 
     def test_seed_must_fit_grid(self):
@@ -147,37 +158,36 @@ class TestInitialize:
 class TestStepAgainstOracle:
     @pytest.mark.parametrize("paper_div", [True, False])
     @pytest.mark.parametrize("bug", [False, True])
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_matches_longhand_update(self, paper_div, bug, frozen):
+    @pytest.mark.parametrize("no_latent_heat", [False, True])
+    def test_matches_longhand_update(self, paper_div, bug, no_latent_heat):
         rng = np.random.default_rng(42)
         nx = ny = 12
         dx, dt = 0.03, 1e-4
         phi0 = rng.random((nx, ny))
         t0 = rng.normal(0.0, 0.3, (nx, ny))
         chi = rng.random((nx, ny)) - 0.5
-        mp = ModelParams(noise_amp=0.01)
-
-        expected_phi, expected_temp = R.reference_step(
-            phi0, t0, mp, dx, dt, paper_divisor=paper_div,
-            replicate_bug=bug, chi=chi, freeze_temperature=frozen,
-        )
-
         p = SimParams(
-            nx=nx, ny=ny, dx=dx, dt=dt, model=mp,
+            nx=nx, ny=ny, dx=dx, dt=dt, noise_amp=0.01,
+            latent_heat=0.0 if no_latent_heat else SimParams.latent_heat,
             divisor_mode=PAPER_CODE if paper_div else CENTERED,
             replicate_appendix_bug=bug, total_steps=1,
         )
+
+        expected_phi, expected_temp = R.reference_step(
+            phi0, t0, p, dx, dt, paper_divisor=paper_div, replicate_bug=bug, chi=chi,
+        )
+
         st = SimState(
             phi=Field(phi0.copy(), dx),
             temp=Field(t0.copy(), dx),
         )
-        out = step(st, p, rng=FixedNoise(chi), freeze_temperature=frozen)
+        out = step(st, p, rng=FixedNoise(chi))
 
         scale = max(np.max(np.abs(expected_phi)), np.max(np.abs(expected_temp)))
         assert np.max(np.abs(out.phi.data - expected_phi)) <= 1e-13 * scale
         assert np.max(np.abs(out.temp.data - expected_temp)) <= 1e-13 * scale
         assert (out.step, out.time) == (1, dt)
-        # no two states share a buffer, even when temperature is frozen
+        # no two states share a buffer
         assert not np.shares_memory(out.temp.data, st.temp.data)
 
     def test_noise_free_path_needs_no_rng(self):
@@ -186,7 +196,7 @@ class TestStepAgainstOracle:
         assert np.isfinite(out.phi.data).all()
 
     def test_noise_requires_a_stream(self):
-        p = small_params(model=ModelParams(noise_amp=0.01))
+        p = small_params(noise_amp=0.01)
         with pytest.raises(ValueError, match="RngStream"):
             step(initialize(p), p)
 
@@ -225,25 +235,25 @@ class TestStepAgainstRollStep:
     @pytest.mark.parametrize("shape", [(12, 12), (9, 14), (3, 3)])
     @pytest.mark.parametrize("paper_div", [True, False])
     @pytest.mark.parametrize("bug", [False, True])
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_twenty_noisy_steps_bitwise(self, shape, paper_div, bug, frozen):
+    @pytest.mark.parametrize("no_latent_heat", [False, True])
+    def test_twenty_noisy_steps_bitwise(self, shape, paper_div, bug, no_latent_heat):
         rng = np.random.default_rng(43)
         dx, dt = 0.03, 1e-4
         phi = rng.random(shape)
         temp = rng.normal(0.0, 0.3, shape)
-        mp = ModelParams(noise_amp=0.01)
         p = SimParams(
-            nx=shape[0], ny=shape[1], dx=dx, dt=dt, model=mp, seed_radius_sq=0.0,
+            nx=shape[0], ny=shape[1], dx=dx, dt=dt, noise_amp=0.01, seed_radius_sq=0.0,
+            latent_heat=0.0 if no_latent_heat else SimParams.latent_heat,
             divisor_mode=PAPER_CODE if paper_div else CENTERED,
             replicate_appendix_bug=bug, total_steps=20,
         )
         st = SimState(phi=Field(phi, dx), temp=Field(temp, dx))
         stream, twin_stream = RngStream(5), RngStream(5)
         for _ in range(p.total_steps):
-            st = step(st, p, rng=stream, freeze_temperature=frozen)
+            st = step(st, p, rng=stream)
             phi, temp = R.roll_step(
-                phi, temp, mp, dx, dt, paper_divisor=paper_div, replicate_bug=bug,
-                chi=twin_stream.uniform_sym(shape), freeze_temperature=frozen,
+                phi, temp, p, dx, dt, paper_divisor=paper_div, replicate_bug=bug,
+                chi=twin_stream.uniform_sym(shape),
             )
         np.testing.assert_array_equal(st.phi.data, phi)
         np.testing.assert_array_equal(st.temp.data, temp)
@@ -252,13 +262,14 @@ class TestStepAgainstRollStep:
     @pytest.mark.parametrize("j_mode", [4, 6])
     @pytest.mark.parametrize("paper_div", [True, False])
     @pytest.mark.parametrize("bug", [False, True])
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_seeded_window_steps_bitwise(self, layout, j_mode, paper_div, bug, frozen):
-        # a small seed in a zero melt: step updates only the window around it
+    @pytest.mark.parametrize("no_latent_heat", [False, True])
+    def test_seeded_window_steps_bitwise(self, layout, j_mode, paper_div, bug, no_latent_heat):
+        # a small seed in a zero melt: step updates only the window around
+        # it; with no latent heat T stays +0.0 and the window follows phi
         nx, ny = 40, 47
-        mp = ModelParams(noise_amp=0.01, j_mode=j_mode)
         p = SimParams(
-            nx=nx, ny=ny, model=mp, seed_radius_sq=4.0,
+            nx=nx, ny=ny, noise_amp=0.01, j_mode=j_mode, seed_radius_sq=4.0,
+            latent_heat=0.0 if no_latent_heat else SimParams.latent_heat,
             divisor_mode=PAPER_CODE if paper_div else CENTERED,
             replicate_appendix_bug=bug, total_steps=30,
         )
@@ -278,10 +289,10 @@ class TestStepAgainstRollStep:
         for _ in range(p.total_steps):
             rows, cols = support_window(st.phi.data, st.temp.data, WINDOW_REACH)
             areas.append((rows.stop - rows.start) * (cols.stop - cols.start))
-            st = step(st, p, rng=stream, freeze_temperature=frozen)
+            st = step(st, p, rng=stream)
             phi, temp = R.roll_step(
-                phi, temp, mp, p.dx, p.dt, paper_divisor=paper_div, replicate_bug=bug,
-                chi=twin_stream.uniform_sym((nx, ny)), freeze_temperature=frozen,
+                phi, temp, p, p.dx, p.dt, paper_divisor=paper_div, replicate_bug=bug,
+                chi=twin_stream.uniform_sym((nx, ny)),
             )
             assert st.phi.data.tobytes() == phi.tobytes()
             assert st.temp.data.tobytes() == temp.tobytes()
@@ -298,10 +309,10 @@ class TestNoRolledCopies:
 
         monkeypatch.setattr(np, "roll", no_roll)
         for mode in (PAPER_CODE, CENTERED):
-            p = small_params(model=ModelParams(noise_amp=0.01), divisor_mode=mode)
+            p = small_params(noise_amp=0.01, divisor_mode=mode)
             st = step(initialize(p), p, rng=RngStream(1))
-            m = Field(m_of_temperature(st.temp.data, p.model), p.dx)
-            assert np.isfinite(free_energy(st.phi, m, p.model))
+            m = Field(m_of_temperature(st.temp.data, p), p.dx)
+            assert np.isfinite(free_energy(st.phi, m, p))
 
 
 class TestFixedPoints:
@@ -319,7 +330,7 @@ class TestConservation:
     def test_single_step_preserves_enthalpy_sum(self):
         p = SimParams(nx=128, ny=128)
         st = initialize(p)
-        k = p.model.latent_heat
+        k = p.latent_heat
         before = lattice_sum(st.temp) - k * lattice_sum(st.phi)
         after_state = step(st, p)
         after = lattice_sum(after_state.temp) - k * lattice_sum(after_state.phi)
@@ -365,9 +376,9 @@ class TestBlowup:
             for _ in range(50):
                 rows, cols = support_window(st.phi.data, st.temp.data, WINDOW_REACH)
                 st = step(st, p)
-                phi, temp = R.roll_step(phi, temp, p.model, p.dx, p.dt)
+                phi, temp = R.roll_step(phi, temp, p, p.dx, p.dt)
         err = exc_info.value
-        phi, temp = R.roll_step(phi, temp, p.model, p.dx, p.dt)
+        phi, temp = R.roll_step(phi, temp, p, p.dx, p.dt)
         name, bad = ("phi", phi) if not np.isfinite(phi).all() else ("temp", temp)
         assert (err.step, err.field_name) == (st.step + 1, name)
         assert err.cell == tuple(int(k) for k in np.argwhere(~np.isfinite(bad))[0])
@@ -411,15 +422,15 @@ class TestRunLifecycle:
         assert [r.step for r in recs] == [0, 3, 6]
 
     def test_two_runs_are_bitwise_identical(self):
-        p = small_params(model=ModelParams(noise_amp=0.01), total_steps=30)
+        p = small_params(noise_amp=0.01, total_steps=30)
         a, _ = run(p)
         b, _ = run(p)
         assert a.phi.data.tobytes() == b.phi.data.tobytes()
         assert a.temp.data.tobytes() == b.temp.data.tobytes()
 
     def test_different_seeds_diverge_with_noise(self):
-        pa = small_params(model=ModelParams(noise_amp=0.01), total_steps=30, rng_seed=1)
-        pb = small_params(model=ModelParams(noise_amp=0.01), total_steps=30, rng_seed=2)
+        pa = small_params(noise_amp=0.01, total_steps=30, rng_seed=1)
+        pb = small_params(noise_amp=0.01, total_steps=30, rng_seed=2)
         a, _ = run(pa)
         b, _ = run(pb)
         assert (a.phi.data != b.phi.data).any()
