@@ -1,7 +1,8 @@
 """Command-line front end: run, sweep, check, and render subcommands.
 
 Exit codes: 0 success, 1 runtime failure (blow-up, I/O, bad snapshot),
-2 usage or config error.
+2 usage or config error.  The handlers raise; main alone turns ConfigError
+into 2 and OSError or SnapshotFormatError into 1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .io import (
-    CONFIG_KEYS,
     DIAGNOSTICS_FIELDS,
     ConfigError,
     SnapshotFormatError,
@@ -73,10 +73,6 @@ def _collect_overrides(args) -> dict:
     return overrides
 
 
-def _resolve_params(args, allow_unstable: bool) -> SimParams:
-    return params_from_dict(_collect_overrides(args), allow_unstable=allow_unstable)
-
-
 def _execute_run(params: SimParams, outdir: Path):
     """One full simulation with the standard artifact set in outdir.
 
@@ -115,21 +111,13 @@ def _execute_run(params: SimParams, outdir: Path):
 
 
 def cmd_run(args) -> int:
-    try:
-        params = _resolve_params(args, allow_unstable=args.force)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    params = params_from_dict(_collect_overrides(args), allow_unstable=args.force)
     ok, dt_thermal, dt_phase = stability_check(params)
     if not ok:
         print(f"warning: dt = {params.dt!r} exceeds the stability bound "
               f"(thermal {dt_thermal!r}, phase {dt_phase!r}); proceeding under --force",
               file=sys.stderr)
-    try:
-        code, last = _execute_run(params, Path(args.out))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    code, last = _execute_run(params, Path(args.out))
     if code == 0 and last is not None:
         print(f"completed {params.total_steps} steps (t = {last.time!r}), "
               f"solid_fraction = {last.solid_fraction!r}, outputs in {args.out}")
@@ -141,21 +129,17 @@ def cmd_sweep(args) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
     key = args.param
-    try:
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"unknown sweep parameter '{key}'")
-        tokens = [tok.strip() for tok in args.values.split(",")]
-        if not any(tokens):
-            raise ConfigError("empty --values list")
-        base = _collect_overrides(args)
-        plan = []
-        for tok in tokens:
-            overrides = dict(base)
-            overrides[key] = parse_value(key, tok)
-            plan.append((tok, params_from_dict(overrides, allow_unstable=args.force)))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    tokens = [tok.strip() for tok in args.values.split(",")]
+    if not any(tokens):
+        raise ConfigError("empty --values list")
+    base = _collect_overrides(args)
+    # token -> params; a token names its run directory, so it must be unique
+    plan = {}
+    for tok in tokens:
+        if tok in plan:
+            raise ConfigError(f"repeated --values token {tok!r}")
+        plan[tok] = params_from_dict({**base, key: parse_value(key, tok)},
+                                     allow_unstable=args.force)
     outroot = Path(args.out)
     outroot.mkdir(parents=True, exist_ok=True)
 
@@ -168,10 +152,10 @@ def cmd_sweep(args) -> int:
             return 1, None
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(one, plan))
+        results = list(pool.map(one, plan.items()))
 
     lines = [SWEEP_HEADER]
-    for (tok, _), (code, last) in zip(plan, results):
+    for tok, (code, last) in zip(plan, results):
         if code == 0 and last is not None:
             lines.append(f"{tok},ok,{csv_row(last, SWEEP_FIELDS)}")
         else:
@@ -185,11 +169,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        params = _resolve_params(args, allow_unstable=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    params = params_from_dict(_collect_overrides(args), allow_unstable=True)
     ok, dt_thermal, dt_phase = stability_check(params)
     sys.stdout.write(format_config(params))
     print(f"dt_max_thermal = {dt_thermal!r}")
@@ -203,19 +183,15 @@ def cmd_render(args) -> int:
     if args.out is None and args.csv is None:
         print("error: render needs --out and/or --csv", file=sys.stderr)
         return 2
-    try:
-        field, _ = read_snapshot(args.snapshot)
-    except (SnapshotFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.out is not None:
+    field, _ = read_snapshot(args.snapshot)
+    if args.out is not None:
+        try:
             write_pgm(field, args.out)
-        if args.csv is not None:
-            write_field_csv(field, args.csv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        except ValueError as exc:  # a NaN cell has no gray level
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    if args.csv is not None:
+        write_field_csv(field, args.csv)
     return 0
 
 
@@ -269,7 +245,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, SnapshotFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main_entry() -> None:

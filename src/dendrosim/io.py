@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .lattice import DIVISOR_MODES, Field
+from .lattice import Field
 from .solver import FIELD_TYPES, SimParams
 
 SNAPSHOT_MAGIC = b"PFDS1\n"
@@ -34,29 +34,19 @@ class SnapshotFormatError(ValueError):
     pass
 
 
-def default_config() -> dict:
-    """The shipped defaults as a typed key -> value dict."""
-    return params_to_dict(SimParams())
-
-
 def parse_value(key: str, text: str):
-    """Parse one config value with the type that key demands."""
+    """Parse one config value with the type that key demands; SimParams
+    validates the value itself."""
     if key not in CONFIG_KEYS:
         raise ConfigError(f"unknown config key '{key}'")
     text = text.strip()
     kind = _KEY_TYPES[key]
     try:
-        if kind is int:
-            return int(text, 10)
-        if kind is float:
-            return float(text)
         if kind is bool:
             if text in ("true", "false"):
                 return text == "true"
             raise ValueError(text)
-        if text not in DIVISOR_MODES:
-            raise ValueError(text)
-        return text
+        return kind(text)
     except ValueError:
         raise ConfigError(f"could not parse value {text!r} for config key '{key}'") from None
 
@@ -78,14 +68,12 @@ def parse_config_text(text: str) -> dict:
 
 def params_from_dict(values: dict, allow_unstable: bool = False) -> SimParams:
     """Build validated SimParams from a typed config dict, partial or
-    complete, merged over the shipped defaults."""
-    merged = params_to_dict(SimParams())
-    for key, val in values.items():
+    complete; the keys it leaves out take the SimParams defaults."""
+    for key in values:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key '{key}'")
-        merged[key] = val
     try:
-        return SimParams(**merged, allow_unstable=allow_unstable)
+        return SimParams(**values, allow_unstable=allow_unstable)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -110,7 +110,9 @@ class SimParams:
     def __post_init__(self):
         for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
-            if kind in (int, bool) and type(value) is not kind:
+            # a float field also takes an int, but never a bool
+            allowed = (int, float) if kind is float else (kind,)
+            if type(value) not in allowed:
                 raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")

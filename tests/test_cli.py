@@ -298,6 +298,14 @@ class TestSweep:
         assert "latent_heat" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_value_rejected_before_any_run(self, tmp_path, capsys):
+        # both runs would write the one latent_heat=1.0/ directory at once
+        out = tmp_path / "s"
+        assert main(["sweep", *BASE, "--param", "latent_heat", "--values", "1.0, 1.0",
+                     "--jobs", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: repeated --values token '1.0'\n"
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failed_run_marked_and_others_continue(self, tmp_path, capsys):
@@ -361,6 +369,21 @@ class TestTopLevel:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "rng_seed" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_path_naming_a_file_exits_one_without_traceback(self, command, tmp_path):
+        # python -m runs main_entry, as the console script does, so an
+        # exception that escaped main would show as a traceback here
+        extra = {"run": [], "sweep": ["--param", "latent_heat", "--values", "1.0"]}[command]
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        env = {**os.environ, "PYTHONPATH": str(Path(dendrosim.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dendrosim.cli", command, *BASE, *extra, "--out", str(taken)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("setting", ["dx=nan", "tau=nan", "gamma=inf", "seed_radius_sq=nan"])
     @pytest.mark.parametrize("command", ["run", "sweep", "check"])

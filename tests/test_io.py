@@ -14,7 +14,6 @@ from dendrosim.io import (
     SNAPSHOT_MAGIC,
     ConfigError,
     SnapshotFormatError,
-    default_config,
     format_config,
     params_from_dict,
     params_to_dict,
@@ -33,7 +32,8 @@ from dendrosim.lattice import Field
 from dendrosim.solver import SimParams
 
 
-FLOAT_KEYS = [key for key, value in default_config().items() if isinstance(value, float)]
+FLOAT_KEYS = [key for key, value in params_to_dict(SimParams()).items()
+              if isinstance(value, float)]
 HEADER_KEYS = (b"nx", b"ny", b"dx", b"dt", b"step", b"field")
 HEADER_VALUES = st.one_of(
     st.sampled_from([b"-4", b"0", b"2", b"3", b"4", b"1e400", b"nan", b"9" * 30]),
@@ -72,7 +72,7 @@ class TestConfigParsing:
     def test_single_override_keeps_other_defaults(self):
         p = parse_config("latent_heat = 2.0\n")
         d = params_to_dict(p)
-        base = default_config()
+        base = params_to_dict(SimParams())
         base["latent_heat"] = 2.0
         assert d == base
 
@@ -114,7 +114,7 @@ class TestConfigParsing:
 
     def test_key_set_is_exactly_the_documented_one(self):
         assert len(CONFIG_KEYS) == 21
-        assert set(default_config()) == set(CONFIG_KEYS)
+        assert set(params_to_dict(SimParams())) == set(CONFIG_KEYS)
 
     def test_stability_violation_fails_parse(self):
         with pytest.raises(ConfigError, match="stability"):

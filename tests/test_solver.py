@@ -99,11 +99,12 @@ class TestSimParamsValidation:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"j_mode": 4.0}, {"total_steps": 10.0}, {"replicate_appendix_bug": 1}, {"nx": 32.0}],
+        [{"j_mode": 4.0}, {"total_steps": 10.0}, {"replicate_appendix_bug": 1}, {"nx": 32.0},
+         {"noise_amp": True}, {"latent_heat": False}, {"dx": "0.03"}],
     )
     def test_int_and_bool_fields_reject_other_types(self, kwargs):
-        # such values would format as "4.0" or "1", which parse_config rejects,
-        # or reach initialize as a float grid extent
+        # such values would format as "4.0", "1" or "false", which parse_config
+        # rejects, or reach initialize as a float grid extent or a str spacing
         [(name, value)] = kwargs.items()
         with pytest.raises(ValueError, match=rf"^{name} must be of type \w+, got {value!r}$"):
             SimParams(**kwargs)
