@@ -20,11 +20,9 @@ from .physics import (
 )
 
 SOLID_THRESHOLD = 0.5
-# arm_count: smoothing bins, and a peak's least rise above both saddles in grid
-# cells (lattice wiggle) and as a share of the full swing (side-branch shoulders)
-ARM_WINDOW = 5
+# arm_count: the least swing of the sector radius profile, in grid cells, that
+# is more than lattice wiggle (a lattice disk up to 140 cells swings under one)
 ARM_MIN_CELLS = 2.0
-ARM_MIN_SWING = 0.25
 
 _DIRECTIONS = ("+x", "-x", "+y", "-y")
 
@@ -127,42 +125,17 @@ def _radius_profile(phi: Field) -> np.ndarray:
     return profile
 
 
-def _prominent_peaks(profile: np.ndarray, threshold: float) -> int:
-    """Peaks of a circular profile that rise >= threshold above both saddles.
-    One walk from the global minimum back to it tracks the trough until the
-    profile rises threshold above it, then the crest until it falls threshold
-    below that: one peak.  Of equal crests, the first met is the higher."""
-    start = int(np.argmin(profile))
-    values = profile.tolist()
-    trough = crest = values[start]
-    peaks, rising = 0, True
-    for x in values[start + 1:] + values[:start + 1]:
-        if rising:
-            if x < trough:
-                trough = x
-            elif x - trough >= threshold:
-                rising, crest = False, x
-        elif x > crest:
-            crest = x
-        elif crest - x >= threshold:
-            rising, trough = True, x
-            peaks += 1
-    return peaks
-
-
 def arm_count(phi: Field) -> int:
-    """Number of primary arms: peaks of the max solid radius over 360
-    one-degree sectors about the grid center, smoothed over ARM_WINDOW bins,
-    that clear both prominence floors.  A disk gives 0; a j-fold star gives j.
+    """Order of the crystal's dominant angular symmetry: the k >= 1 whose
+    Fourier mode has the largest magnitude in the max solid radius over 360
+    one-degree sectors about the grid center (the lowest k of equal ones).
+    A profile that swings less than ARM_MIN_CELLS cells is a disk and gives 0;
+    a j-fold star gives j, and so does one whose tips split in mirror pairs.
     """
     profile = _radius_profile(phi)
-    half = ARM_WINDOW // 2
-    smooth = sum(np.roll(profile, k) for k in range(-half, ARM_WINDOW - half)) / ARM_WINDOW
-    swing = float(smooth.max() - smooth.min())
-    floor = ARM_MIN_CELLS * phi.dx
-    if swing < floor:
+    if profile.max() - profile.min() < ARM_MIN_CELLS * phi.dx:
         return 0
-    return _prominent_peaks(smooth, max(floor, ARM_MIN_SWING * swing))
+    return 1 + int(np.argmax(np.abs(np.fft.rfft(profile)[1:])))
 
 
 def conservation_sum(state, latent_heat: float) -> float:

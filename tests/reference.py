@@ -262,45 +262,30 @@ def loop_radius_profile(phi):
     return profile
 
 
-def walk_prominent_peaks(x, threshold):
-    """Peaks of the sequence x whose prominence is at least threshold.
+def longhand_arm_order(profile):
+    """The k in 1..n/2 whose discrete Fourier mode of the n-sector profile is
+    the largest in magnitude, the lowest k on a tie.  Each mode's cosine and
+    sine sums of r_i·cos(2πki/n) and r_i·sin(2πki/n) are taken with
+    math.fsum, so the result does not depend on an FFT's summation order."""
+    n = len(profile)
+    best_k, best = 0, -1.0
+    for k in range(1, n // 2 + 1):
+        angles = [2.0 * math.pi * (k * i % n) / n for i in range(n)]
+        re = math.fsum(float(r) * math.cos(a) for r, a in zip(profile, angles))
+        im = math.fsum(float(r) * math.sin(a) for r, a in zip(profile, angles))
+        magnitude = math.hypot(re, im)
+        if magnitude > best:
+            best_k, best = k, magnitude
+    return best_k
 
-    scipy.signal.find_peaks(x, prominence=threshold) written longhand.  A
-    peak is a cell, or a run of equal cells, higher than the cells on both
-    sides; the first and last cells are never peaks.  From the peak, walk
-    left until a cell at least as high or the start, and right until a
-    higher cell or the end; the lowest cell passed on each side is that
-    side's saddle, and the prominence is the peak's height above the higher
-    saddle.  Stopping the left walk at an equal cell is the one tie rule
-    (scipy walks past it): of two equal peaks, the left one is the higher.
-    """
-    x = [float(v) for v in x]
-    n = len(x)
-    count = 0
-    i = 1
-    while i < n - 1:
-        if x[i - 1] >= x[i]:
-            i += 1
-            continue
-        top = x[i]
-        end = i  # last cell of the run of cells equal to x[i]
-        while end + 1 < n and x[end + 1] == top:
-            end += 1
-        if end + 1 < n and x[end + 1] < top:
-            left_min = top
-            k = i - 1
-            while k >= 0 and x[k] < top:
-                left_min = min(left_min, x[k])
-                k -= 1
-            right_min = top
-            k = end + 1
-            while k < n and x[k] <= top:
-                right_min = min(right_min, x[k])
-                k += 1
-            if top - max(left_min, right_min) >= threshold:
-                count += 1
-        i = end + 1
-    return count
+
+def longhand_arm_count(phi, min_swing):
+    """arm_count longhand: 0 when the loop-built profile swings less than
+    min_swing, else its dominant angular order."""
+    profile = loop_radius_profile(phi)
+    if profile.max() - profile.min() < min_swing:
+        return 0
+    return longhand_arm_order(profile)
 
 
 def roll_step(phi, temp, p, dx, dt, paper_divisor=True, replicate_bug=False, chi=None):

@@ -1,6 +1,7 @@
 """Top-level acceptance checks: conservation, fixed points, morphology,
 qualitative trends, determinism, symmetry, energy decay, and the stability
-gate.  Each test records one summary line, replayed after the run."""
+gate.  Each criterion records one summary line, replayed after the run.  The
+desk runs' final states also check arm_count against the longhand oracle."""
 
 import math
 import time
@@ -8,8 +9,9 @@ import time
 import numpy as np
 import pytest
 
+import reference as R
 from dendrosim.cli import PRESETS, main
-from dendrosim.diagnostics import free_energy
+from dendrosim.diagnostics import ARM_MIN_CELLS, arm_count, free_energy
 from dendrosim.io import params_from_dict
 from dendrosim.lattice import Field, lattice_sum
 from dendrosim.physics import (
@@ -148,13 +150,22 @@ def test_acceptance_05_hexagonal_morphology(acceptance, desk_j6):
 def test_acceptance_06_anisotropy_strength_trend(acceptance, desk_j4, desk_wide_anisotropy):
     narrow = max_axis_tip(desk_j4[1][-1])
     wide = max_axis_tip(desk_wide_anisotropy[1][-1])
+    most = max(r.arm_count for r in desk_wide_anisotropy[1])
     # direction frozen from a pilot: stronger anisotropy grows at least as far
-    ok = wide >= narrow
+    ok = wide >= narrow and most <= 4
     acceptance(
         f"criterion 06 {'PASS' if ok else 'FAIL'}: tip extent at delta = 0.011 "
-        f"({wide:.4f}) >= at delta = 0.01 ({narrow:.4f})"
+        f"({wide:.4f}) >= at delta = 0.01 ({narrow:.4f}); at most 4 arms in every "
+        f"delta = 0.011 sample (max {most})"
     )
     assert wide >= narrow
+    # the lobe pairs between the axis arms are side structure, not arms
+    assert most <= 4
+
+
+def test_desk_arm_counts_match_the_longhand_spectrum(desk_j4, desk_j6, desk_wide_anisotropy):
+    for state, _, _ in (desk_j4, desk_j6, desk_wide_anisotropy):
+        assert arm_count(state.phi) == R.longhand_arm_count(state.phi, ARM_MIN_CELLS * DX)
 
 
 def test_acceptance_07_latent_heat_sweep(acceptance):

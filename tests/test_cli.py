@@ -325,7 +325,7 @@ class TestSweep:
 class TestTopLevel:
     def test_runtime_loads_no_scipy(self, tmp_path):
         # 300 steps on 48x48 grow a profile whose swing clears the two-cell
-        # floor, so the run reaches the peak count and reads 4 arms
+        # floor, so the run reaches the spectrum and reads 4 arms
         script = (
             "import sys, dendrosim, dendrosim.cli\n"
             "argv = ['run', '--set', 'nx=48', '--set', 'ny=48', '--set', 'total_steps=300',\n"

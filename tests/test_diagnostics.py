@@ -8,7 +8,7 @@ from hypothesis import given, strategies as hst
 
 import reference as R
 from dendrosim.diagnostics import (
-    _prominent_peaks,
+    ARM_MIN_CELLS,
     _radius_profile,
     arm_count,
     conservation_sum,
@@ -39,6 +39,17 @@ def star_field(n, r0, amp, lobes, dx=DX, phase=0.0):
     th = np.arctan2(jj, ii)
     solid = r <= r0 * (1.0 + amp * np.cos(lobes * (th - phase)))
     return Field(solid.astype(float), dx)
+
+
+def ragged_field(n, dx=DX):
+    """A five-lobed star whose edge is jittered cell by cell."""
+    rng = np.random.default_rng(31)
+    c = n // 2
+    ii, jj = np.meshgrid(np.arange(n) - c, np.arange(n) - c, indexing="ij")
+    r = np.hypot(ii, jj)
+    th = np.arctan2(jj, ii)
+    ragged = r <= 28.0 * (1.0 + 0.25 * np.cos(5 * th)) + rng.normal(0.0, 0.7, (n, n))
+    return Field(ragged.astype(float), dx)
 
 
 class TestSolidFraction:
@@ -181,66 +192,45 @@ class TestArmCount:
             assert arm_count(star_field(101, 30.0, 0.3, 4, phase=phase)) == 4
 
     def test_sub_resolution_modulation_reads_as_disk(self):
-        # 1% of 30 cells is far below the two-cell prominence floor
+        # 1% of 30 cells is far below the two-cell swing floor
         assert arm_count(star_field(101, 30.0, 0.01, 4)) == 0
 
     @pytest.mark.parametrize("n", [101, 100])
     def test_invariant_under_quarter_turns(self, n):
-        rng = np.random.default_rng(31)
-        c = n // 2
-        ii, jj = np.meshgrid(np.arange(n) - c, np.arange(n) - c, indexing="ij")
-        r = np.hypot(ii, jj)
-        th = np.arctan2(jj, ii)
-        ragged = r <= 28.0 * (1.0 + 0.25 * np.cos(5 * th)) + rng.normal(0.0, 0.7, (n, n))
-        base = Field(ragged.astype(float), DX)
+        base = ragged_field(n)
         expected = arm_count(base)
         for k in (1, 2, 3):
             rot = Field(R.rotated90(base.data, k), DX)
             assert arm_count(rot) == expected
 
-
-def closed(profile):
-    """The circular profile cut at its global minimum, that minimum repeated
-    at the end: the linear sequence whose peaks are the circle's peaks."""
-    rolled = np.roll(profile, -int(np.argmin(profile)))
-    return np.concatenate([rolled, rolled[:1]])
-
-
-@pytest.fixture(scope="module")
-def find_peaks():
-    return pytest.importorskip("scipy.signal").find_peaks
-
-
-THRESHOLDS = hst.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_tips_split_in_mirror_pairs_read_the_symmetry_order(self):
+        # each of the four arms forked into two lobes 20 degrees apart, with
+        # a notch 10 cells deep between them: eight crests, and the
+        # fourfold mode still dominates
+        c = 50
+        ii, jj = np.meshgrid(np.arange(101) - c, np.arange(101) - c, indexing="ij")
+        th = np.arctan2(jj, ii)
+        forks = sum(np.exp(-((np.angle(np.exp(1j * (th - a))) / 0.12) ** 2))
+                    for a in np.deg2rad(np.arange(0, 360, 90)[:, None] + [-10, 10]).ravel())
+        phi = Field((np.hypot(ii, jj) <= 25.0 * (1.0 + 0.6 * forks)).astype(float), DX)
+        assert arm_count(phi) == 4
 
 
-class TestProminentPeaks:
-    @given(hst.lists(hst.integers(0, 6), min_size=3, max_size=361), THRESHOLDS)
-    def test_matches_longhand_walk_on_tied_profiles(self, values, threshold):
-        profile = np.array(values, dtype=float)
-        expected = R.walk_prominent_peaks(closed(profile), threshold)
-        assert _prominent_peaks(profile, threshold) == expected
+class TestArmCountOracle:
+    """arm_count against the loop-built profile and the fsum spectrum."""
 
-    @given(hst.lists(hst.integers(0, 6), min_size=3, max_size=361), THRESHOLDS,
-           hst.integers(0, 360))
-    def test_any_start_on_the_circle_gives_the_same_count(self, values, threshold, shift):
-        profile = np.array(values, dtype=float)
-        assert _prominent_peaks(np.roll(profile, shift), threshold) == \
-            _prominent_peaks(profile, threshold)
+    @pytest.mark.parametrize("amp", [0.01, 0.3])
+    @pytest.mark.parametrize("lobes", [4, 5, 6, 8])
+    @pytest.mark.parametrize("phase", [0.0, 0.2, 0.7])
+    def test_synthetic_stars(self, lobes, amp, phase):
+        phi = star_field(101, 30.0, amp, lobes, phase=phase)
+        assert arm_count(phi) == R.longhand_arm_count(phi, ARM_MIN_CELLS * DX)
 
-    @given(hst.lists(hst.floats(0.0, 10.0), min_size=3, max_size=361, unique=True),
-           hst.floats(1e-3, 5.0))
-    def test_matches_scipy_on_tie_free_profiles(self, find_peaks, values, threshold):
-        profile = np.array(values)
-        expected = len(find_peaks(closed(profile), prominence=threshold)[0])
-        assert _prominent_peaks(profile, threshold) == expected
-
-    def test_equal_peaks_count_once(self):
-        # find_peaks counts 2: each equal peak's walk runs past the other, so
-        # both get prominence 5; a mirror-symmetric split tip is this profile
-        profile = np.array([0.0, 5.0, 3.0, 5.0, 0.0])
-        assert _prominent_peaks(profile, 4.0) == 1
-        assert R.walk_prominent_peaks(profile, 4.0) == 1
+    @pytest.mark.parametrize("n", [101, 100])
+    def test_ragged_five_lobe_field(self, n):
+        for k in range(4):
+            phi = Field(R.rotated90(ragged_field(n).data, k), DX)
+            assert arm_count(phi) == R.longhand_arm_count(phi, ARM_MIN_CELLS * DX)
 
 
 class TestConservationSum:
