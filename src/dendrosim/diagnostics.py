@@ -6,11 +6,11 @@ symmetric midpoint of the two bulk values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import CENTERED, Field, gradient_arrays, lattice_sum
+from .lattice import CENTERED, Field, gradient_arrays, lattice_sum, support_window
 from .physics import (
     anisotropy_phase,
     double_well,
@@ -23,6 +23,9 @@ SOLID_THRESHOLD = 0.5
 # arm_count: the least swing of the sector radius profile, in grid cells, that
 # is more than lattice wiggle (a lattice disk up to 140 cells swings under one)
 ARM_MIN_CELLS = 2.0
+# measure's sums run on the support window widened by this many cells (see
+# measure for why 2 keeps the bits)
+SAMPLE_REACH = 2
 
 _DIRECTIONS = ("+x", "-x", "+y", "-y")
 
@@ -159,9 +162,29 @@ def free_energy(phi: Field, m_field: Field, p) -> float:
 
 
 def measure(state, p) -> DiagnosticsRecord:
-    """All per-sample scalars for one state of a run with SimParams p."""
+    """All per-sample scalars for one state of a run with SimParams p.
+
+    The m field and the sums of conservation_sum and free_energy are taken
+    on the support window of phi and T (lattice.support_window, widened by
+    SAMPLE_REACH cells) and give the bits of the whole-grid calls:
+    - every cell outside the window is +-0.0 with zero gradients, so it
+      adds +-0.0 to every sum;
+    - the window's border, two cells deep, is zero too, so a border cell's
+      wrapped neighbours in the window are zeros as in the grid, and its
+      gradients and density are those of the grid;
+    - lattice_sum is correctly rounded, so the sum over the window equals
+      the sum over the grid.
+    The exception is a cell within lattice_sum's overflow margin, which
+    depends on the cell count: there both sums fall back to numpy's and may
+    differ.
+    """
     phi, temp = state.phi, state.temp
-    m_field = Field(m_of_temperature(temp.data, p), temp.dx)
+    rows, cols = support_window(phi.data, temp.data, SAMPLE_REACH)
+    # an all-zero state gives the 1x1 window, and a Field needs 3 cells a side
+    window = slice(rows.start, max(rows.stop, 3)), slice(cols.start, max(cols.stop, 3))
+    cut = replace(state, phi=Field(phi.data[window], phi.dx),
+                  temp=Field(temp.data[window], temp.dx))
+    m_field = Field(m_of_temperature(cut.temp.data, p), temp.dx)
     return DiagnosticsRecord(
         step=state.step,
         time=state.time,
@@ -170,7 +193,7 @@ def measure(state, p) -> DiagnosticsRecord:
         tip_mx=tip_extent(phi, "-x"),
         tip_py=tip_extent(phi, "+y"),
         tip_my=tip_extent(phi, "-y"),
-        conservation_sum=conservation_sum(state, p.latent_heat),
-        free_energy=free_energy(phi, m_field, p),
+        conservation_sum=conservation_sum(cut, p.latent_heat),
+        free_energy=free_energy(cut.phi, m_field, p),
         arm_count=arm_count(phi),
     )

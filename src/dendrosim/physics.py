@@ -7,6 +7,8 @@ object with the model fields of solver.SimParams (eps_bar, delta, j_mode, ...).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -14,16 +16,30 @@ class RngStream:
     """Seeded PCG64 stream for the interface noise.
 
     The generator is fixed (numpy PCG64), so a given 64-bit seed reproduces the
-    same sequence on every platform.  Array draws fill in raster (C) order.
+    same sequence on every platform.  Array draws fill in raster (C) order,
+    one 64-bit PCG64 output per value.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform_sym(self, shape):
-        """An array of uniform values in [-0.5, 0.5]."""
-        return self._gen.random(shape) - 0.5
+    def uniform_sym(self, shape, rows=slice(None)):
+        """Rows `rows` (a step-1 slice of the first axis) of an array of `shape`
+        uniform values in [-0.5, 0.5]; by default the whole array.
+
+        The stream advances past the whole array either way: the rows before
+        and after the band are skipped with PCG64.advance, one output per
+        value, so the band equals the same rows of a whole-array draw and
+        every later draw is unchanged.
+        """
+        start, stop, _ = rows.indices(shape[0])
+        row_size = math.prod(shape[1:])
+        bits = self._gen.bit_generator
+        bits.advance(start * row_size)
+        band = self._gen.random((stop - start, *shape[1:])) - 0.5
+        bits.advance((shape[0] - stop) * row_size)
+        return band
 
 
 def interface_angle(gx, gy):

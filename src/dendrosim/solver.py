@@ -268,8 +268,9 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     if p.noise_amp > 0.0:
         if rng is None:
             raise ValueError("noise_amp > 0 requires an RngStream")
-        # drawn for the whole grid, so the stream does not depend on the window
-        chi = rng.uniform_sym(shape)[window]
+        # the window's rows of a whole-grid draw, so the stream does not
+        # depend on the window
+        chi = rng.uniform_sym(shape, window[0])[:, window[1]]
 
     div = divisors(dx, p.divisor_mode)
     dt_over_tau = p.dt / p.tau

@@ -3,8 +3,11 @@ qualitative trends, determinism, symmetry, energy decay, and the stability
 gate.  Each criterion records one summary line, replayed after the run.  The
 desk runs' final states also check arm_count against the longhand oracle."""
 
+import hashlib
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from dendrosim.solver import SimParams, SimState, initialize, run, stability_che
 
 DX = 0.03
 DESK = dict(nx=300, ny=300, total_steps=1500)
+FINGERPRINT = Path(__file__).resolve().parents[1] / "bench" / "fingerprint.json"
 
 
 def timed_run(params):
@@ -203,6 +207,17 @@ def test_acceptance_08_run_determinism(acceptance, tmp_path):
         f"across {len(trees['a'])} snapshot/CSV files"
     )
     assert ok
+
+
+def test_run_matches_the_recorded_fingerprint():
+    # the fixed noisy config and final-field SHA-256 the benchmark checks;
+    # its crystal grows in a small window for the first ~57 steps
+    spec = json.loads(FINGERPRINT.read_text(encoding="utf-8"))
+    state, _ = run(params_from_dict(spec["config"]))
+    digest = hashlib.sha256()
+    for f in (state.phi, state.temp):
+        digest.update(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
+    assert digest.hexdigest() == spec["sha256"]
 
 
 def test_acceptance_09_dihedral_symmetry(acceptance):

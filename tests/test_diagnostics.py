@@ -1,5 +1,6 @@
 """Measurements: solid fraction, tip extents, arm counting, sums, energy."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, strategies as hst
 import reference as R
 from dendrosim.diagnostics import (
     ARM_MIN_CELLS,
+    SAMPLE_REACH,
+    DiagnosticsRecord,
     _radius_profile,
     arm_count,
     conservation_sum,
@@ -17,7 +20,7 @@ from dendrosim.diagnostics import (
     solid_fraction,
     tip_extent,
 )
-from dendrosim.lattice import CENTERED, PAPER_CODE, Field
+from dendrosim.lattice import CENTERED, PAPER_CODE, Field, support_window
 from dendrosim.physics import RngStream, double_well, m_of_temperature
 from dendrosim.solver import SimParams, SimState, initialize, step
 
@@ -354,6 +357,13 @@ class TestMemory:
     def test_measure_peaks_at_ten_grid_arrays(self, state):
         assert peak_grid_arrays(lambda: measure(state, SimParams()), self.N) <= 10.0
 
+    def test_measure_of_a_growing_crystal_peaks_below_one_grid_array(self):
+        # 12 steps into a noisy 300x300 run the crystal's window is small,
+        # and a sample allocates only boolean masks of the grid
+        p = SimParams(nx=self.N, ny=self.N, noise_amp=0.01, rng_seed=1)
+        st = list(run_states(p, 12))[-1]
+        assert peak_grid_arrays(lambda: measure(st, p), self.N) < 1.0
+
 
 class TestMeasure:
     def test_initial_state_record(self):
@@ -383,3 +393,107 @@ class TestMeasure:
         assert e_warm != e_cold
         assert e_cold < e_warm  # supercooling tilts the solid well downward
         assert m_cold > 0.0
+
+
+def whole_grid_record(state, p):
+    """measure's record built from the whole-grid public functions."""
+    phi = state.phi
+    m = Field(m_of_temperature(state.temp.data, p), state.temp.dx)
+    return DiagnosticsRecord(
+        step=state.step,
+        time=state.time,
+        solid_fraction=solid_fraction(phi),
+        tip_px=tip_extent(phi, "+x"),
+        tip_mx=tip_extent(phi, "-x"),
+        tip_py=tip_extent(phi, "+y"),
+        tip_my=tip_extent(phi, "-y"),
+        conservation_sum=conservation_sum(state, p.latent_heat),
+        free_energy=free_energy(phi, m, p),
+        arm_count=arm_count(phi),
+    )
+
+
+def assert_same_record(state, p):
+    """measure(state, p) equals the whole-grid record bit for bit (NaN too)."""
+    got, want = measure(state, p), whole_grid_record(state, p)
+    for name, value in dataclasses.asdict(want).items():
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(value).tobytes(), name
+
+
+class TestWindowedMeasure:
+    """measure sums on the support window; the records equal the whole-grid
+    ones.  (lattice_sum's near-overflow fallback, whose threshold depends on
+    the cell count, is the one case where they may differ; no state here
+    comes near it.)"""
+
+    def test_every_step_of_a_noisy_run(self):
+        p = SimParams(nx=40, ny=56, noise_amp=0.01, rng_seed=3, seed_radius_sq=6.0)
+        spans = set()
+        for st in run_states(p, 40):
+            rows, cols = support_window(st.phi.data, st.temp.data, SAMPLE_REACH)
+            spans.add((rows.stop - rows.start == p.nx, cols.stop - cols.start == p.ny))
+            assert_same_record(st, p)
+        # small windows, windows spanning one axis, and spanning both
+        assert spans == {(False, False), (True, False), (True, True)}
+
+    @pytest.mark.parametrize("layout", ["row-edge", "corner"])
+    def test_crystal_across_the_grid_edge(self, layout):
+        p = SimParams(nx=40, ny=47, noise_amp=0.01, rng_seed=8, j_mode=6)
+        st = list(run_states(p, 8))[-1]
+        shift = (p.nx // 2, 0) if layout == "row-edge" else (p.nx // 2, p.ny // 2)
+        moved = SimState(phi=Field(np.roll(st.phi.data, shift, axis=(0, 1)), p.dx),
+                         temp=Field(np.roll(st.temp.data, shift, axis=(0, 1)), p.dx))
+        assert_same_record(moved, p)
+
+    def test_negative_zeros_outside_the_crystal(self):
+        p = SimParams(nx=40, ny=47, noise_amp=0.01, rng_seed=2)
+        st = list(run_states(p, 6))[-1]
+        far = np.logical_or.outer(np.arange(p.nx) % 3 == 0, np.arange(p.ny) % 4 == 0)
+        st.phi = Field(np.where(far & (st.phi.data == 0.0), -0.0, st.phi.data), p.dx)
+        st.temp = Field(np.where(far & (st.temp.data == 0.0), -0.0, st.temp.data), p.dx)
+        assert np.signbit(st.phi.data).any() and np.signbit(st.temp.data).any()
+        assert_same_record(st, p)
+
+    @pytest.mark.parametrize("name, cell", [("phi", (20, 23)), ("phi", (2, 40)),
+                                            ("temp", (21, 24)), ("temp", (37, 3))])
+    def test_nan_cell_propagates(self, name, cell):
+        p = SimParams(nx=40, ny=47)
+        st = list(run_states(p, 4))[-1]
+        data = getattr(st, name).data.copy()
+        data[cell] = np.nan
+        setattr(st, name, Field(data, p.dx))
+        rec = measure(st, p)
+        assert np.isnan(rec.conservation_sum) and np.isnan(rec.free_energy)
+        assert_same_record(st, p)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 7), (16, 16)])
+    def test_all_zero_state(self, shape):
+        p = SimParams(nx=shape[0], ny=shape[1], seed_radius_sq=0.0)
+        zeros = Field.zeros(*shape, p.dx)
+        st = SimState(phi=zeros, temp=zeros)
+        assert support_window(zeros.data, zeros.data, SAMPLE_REACH) == (slice(0, 1), slice(0, 1))
+        assert measure(st, p).free_energy == 0.0
+        assert_same_record(st, p)
+
+    def test_three_by_three_grids(self):
+        p = SimParams(nx=3, ny=3, seed_radius_sq=0.0)
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            phi, temp = rng.random((3, 3)), rng.normal(0.0, 0.3, (3, 3))
+            assert_same_record(SimState(phi=Field(phi, p.dx), temp=Field(temp, p.dx)), p)
+        one = np.zeros((3, 3))
+        one[1, 2] = 0.7
+        assert_same_record(SimState(phi=Field(one, p.dx), temp=Field(one, p.dx)), p)
+
+    @given(hst.integers(3, 24), hst.integers(3, 24), hst.integers(0, 2**32 - 1))
+    def test_random_blobs(self, nx, ny, seed):
+        # a box of random values anywhere, in a melt of signed zeros
+        rng = np.random.default_rng(seed)
+        p = SimParams(nx=nx, ny=ny, seed_radius_sq=0.0, j_mode=int(rng.integers(1, 7)))
+        fields = []
+        for scale in (1.0, 0.5):
+            a = np.where(rng.random((nx, ny)) < 0.5, -0.0, 0.0)
+            i, j = rng.integers(0, nx), rng.integers(0, ny)
+            a[i:i + rng.integers(1, 6), j:j + rng.integers(1, 6)] = scale * rng.random()
+            fields.append(Field(a, p.dx))
+        assert_same_record(SimState(phi=fields[0], temp=fields[1], step=3, time=3e-4), p)

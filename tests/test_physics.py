@@ -247,3 +247,30 @@ class TestRngStream:
 
     def test_shape_follows_request(self):
         assert RngStream(3).uniform_sym((4, 6)).shape == (4, 6)
+
+
+class TestRngRowBand:
+    """A row band draws the same rows as a whole-grid draw, and leaves the
+    stream where the whole-grid draw leaves it."""
+
+    @staticmethod
+    def check(seed, shape, rows):
+        stream, twin = RngStream(seed), RngStream(seed)
+        band = stream.uniform_sym(shape, rows)
+        whole = twin.uniform_sym(shape)
+        assert band.tobytes() == whole[rows].tobytes()
+        assert stream.uniform_sym(shape).tobytes() == twin.uniform_sym(shape).tobytes()
+
+    @given(st.integers(0, 2**64 - 1), st.integers(3, 20), st.integers(3, 20), st.data())
+    def test_random_bands(self, seed, nx, ny, data):
+        start = data.draw(st.integers(0, nx - 1))
+        stop = data.draw(st.integers(start + 1, nx))
+        self.check(seed, (nx, ny), slice(start, stop))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 5), (17, 4)])
+    @pytest.mark.parametrize("which", ["first", "last", "all", "default"])
+    def test_edge_bands(self, shape, which):
+        nx = shape[0]
+        rows = {"first": slice(0, 1), "last": slice(nx - 1, nx),
+                "all": slice(0, nx), "default": slice(None)}[which]
+        self.check(21, shape, rows)

@@ -1,6 +1,7 @@
 """Time integration: stability bounds, initialization, the update step, run."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ class FixedNoise:
     def __init__(self, chi):
         self.chi = chi
 
-    def uniform_sym(self, shape):
+    def uniform_sym(self, shape, rows=slice(None)):
         assert shape == self.chi.shape
-        return self.chi
+        return self.chi[rows]
 
 
 def small_params(**kwargs):
@@ -301,6 +302,25 @@ class TestStepAgainstRollStep:
             assert areas[0] == nx * ny
         else:
             assert areas[0] < nx * ny / 2 and areas[-1] == nx * ny
+
+
+class TestMemory:
+    def test_noisy_step_of_a_growing_crystal_peaks_below_three_grid_arrays(self):
+        # 12 steps into a noisy 300x300 run: the window's work and noise
+        # rows are small, and the two embedded result fields dominate
+        n = 300
+        p = SimParams(nx=n, ny=n, noise_amp=0.01, rng_seed=1)
+        st, rng = initialize(p), RngStream(p.rng_seed)
+        for _ in range(12):
+            st = step(st, p, rng)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step(st, p, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) < 3.0
 
 
 class TestNoRolledCopies:
