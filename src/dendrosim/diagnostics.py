@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import CENTERED, Field, gradient_arrays, lattice_sum, support_window
+from .lattice import CENTERED, Field, gradient_arrays, lattice_sum, widen
 from .physics import (
     anisotropy_phase,
     double_well,
@@ -165,8 +165,8 @@ def measure(state, p) -> DiagnosticsRecord:
     """All per-sample scalars for one state of a run with SimParams p.
 
     The m field and the sums of conservation_sum and free_energy are taken
-    on the support window of phi and T (lattice.support_window, widened by
-    SAMPLE_REACH cells) and give the bits of the whole-grid calls:
+    on the state's box widened by SAMPLE_REACH cells (lattice.widen), and
+    give the bits of the whole-grid calls:
     - every cell outside the window is +-0.0 with zero gradients, so it
       adds +-0.0 to every sum;
     - the window's border, two cells deep, is zero too, so a border cell's
@@ -179,7 +179,7 @@ def measure(state, p) -> DiagnosticsRecord:
     differ.
     """
     phi, temp = state.phi, state.temp
-    rows, cols = support_window(phi.data, temp.data, SAMPLE_REACH)
+    rows, cols = widen(state.box, phi.data.shape, SAMPLE_REACH)
     # an all-zero state gives the 1x1 window, and a Field needs 3 cells a side
     window = slice(rows.start, max(rows.stop, 3)), slice(cols.start, max(cols.stop, 3))
     cut = replace(state, phi=Field(phi.data[window], phi.dx),

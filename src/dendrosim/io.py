@@ -113,11 +113,12 @@ def write_snapshot(field: Field, path, name: str = "phi", step: int = 0, dt: flo
         f"field {name}\n"
         "\n"
     ).encode("ascii")
-    payload = field.data.astype("<f8").tobytes()
+    # written through the buffer protocol: no copy of a little-endian field
+    payload = np.ascontiguousarray(field.data, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-    return len(header) + len(payload)
+    return len(header) + payload.nbytes
 
 
 def read_snapshot(path) -> tuple[Field, dict]:

@@ -77,32 +77,51 @@ def periodic_pad(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def support_window(a: np.ndarray, b: np.ndarray, reach: int) -> tuple[slice, slice]:
-    """(row slice, column slice) of the box around the nonzero cells of `a`
-    and `b`, widened by `reach` cells on each side.
+Box = tuple[slice, slice]
 
-    NaN cells count as nonzero and -0.0 cells as zero.  An axis along which
-    the widened box would wrap past the grid's edge gets its full extent, so
-    the window never wraps, and when both axes are full that is the whole
-    grid.
-    The `reach`-cell border frame is checked first, so once nonzero cells
-    reach it on both axes only the frame is read.  An all-zero pair gives
-    the 1x1 window at the origin.
+_EDGES = (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1])
+
+
+def nonzero_box(a: np.ndarray, b: np.ndarray) -> Box | None:
+    """Smallest (row slice, column slice) box holding every nonzero cell of
+    `a` and `b`, or None when both are all zero.
+
+    NaN cells count as nonzero and -0.0 cells as zero.  The four edge lines
+    are read first: when each holds a nonzero cell the box is the whole
+    array, and no other cell is read.
     """
     nx, ny = a.shape
-    rows_full = any(x[:reach].any() or x[-reach:].any() for x in (a, b))
-    cols_full = any(x[:, :reach].any() or x[:, -reach:].any() for x in (a, b))
-    if rows_full and cols_full:
+    if all(a[e].any() or b[e].any() for e in _EDGES):
         return slice(0, nx), slice(0, ny)
     live = (a != 0.0) | (b != 0.0)
     rows = np.flatnonzero(live.any(axis=1))
     if rows.size == 0:
-        return slice(0, 1), slice(0, 1)
+        return None
     cols = np.flatnonzero(live.any(axis=0))
-    return (
-        slice(0, nx) if rows_full else slice(int(rows[0]) - reach, int(rows[-1]) + reach + 1),
-        slice(0, ny) if cols_full else slice(int(cols[0]) - reach, int(cols[-1]) + reach + 1),
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
+def widen(box: Box | None, shape: tuple[int, int], reach: int) -> Box:
+    """`box` widened by `reach` cells on each side, within a grid of `shape`.
+
+    An axis along which the widened box would wrap past the grid's edge gets
+    its full extent, so the window never wraps, and when both axes are full
+    that is the whole grid.  No box (an all-zero grid) gives the 1x1 window
+    at the origin.
+    """
+    if box is None:
+        return slice(0, 1), slice(0, 1)
+    return tuple(
+        slice(0, n) if s.start < reach or s.stop > n - reach
+        else slice(s.start - reach, s.stop + reach)
+        for s, n in zip(box, shape)
     )
+
+
+def support_window(a: np.ndarray, b: np.ndarray, reach: int) -> Box:
+    """(row slice, column slice) of the box around the nonzero cells of `a`
+    and `b` (nonzero_box), widened by `reach` cells on each side (widen)."""
+    return widen(nonzero_box(a, b), a.shape, reach)
 
 
 def embed(a: np.ndarray, shape: tuple[int, int], window: tuple[slice, slice]) -> np.ndarray:

@@ -7,6 +7,7 @@ freshly updated value leaks into another cell within the same step.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 from dataclasses import dataclass
@@ -21,8 +22,9 @@ from .lattice import (
     embed,
     gradient_arrays,
     laplacian9_arrays,
+    nonzero_box,
     periodic_pad,
-    support_window,
+    widen,
 )
 from . import diagnostics
 from .physics import (
@@ -168,12 +170,41 @@ class SimParams:
 FIELD_TYPES = typing.get_type_hints(SimParams)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimState:
+    """The phi and T fields after `step` steps, at `time`.
+
+    A state carries `box`, the box of its nonzero cells, and step and
+    diagnostics.measure take their windows from it instead of scanning the
+    grid.  initialize records the seed's box and step the box of its
+    result, found on the window it has just updated.  That saving is in the
+    growth phase only: once the window spans the grid (step 144 of the desk
+    preset), a step costs what it did with a scan.
+    A state is immutable, so its fields can never change under its box:
+    assigning one raises FrozenInstanceError (an API change: the fields
+    were assignable before), and a changed copy is made with
+    dataclasses.replace.  Its arrays must not be written in place either.
+    """
+
     phi: Field
     temp: Field
     step: int = 0
     time: float = 0.0
+
+    @functools.cached_property
+    def box(self):
+        """lattice.nonzero_box of phi and T.  step and initialize hand it to
+        the states they make; any other state (built by hand, or by
+        dataclasses.replace) scans its fields on first use."""
+        return nonzero_box(self.phi.data, self.temp.data)
+
+
+def _carrying(box, **fields) -> SimState:
+    """SimState(**fields) whose box is `box`, found without a scan."""
+    state = SimState(**fields)
+    # box is a cached_property: this stores the value its first read would compute
+    object.__setattr__(state, "box", box)
+    return state
 
 
 def stability_check(p: SimParams) -> tuple[bool, float, float]:
@@ -199,7 +230,13 @@ def initialize(p: SimParams) -> SimState:
     di = np.arange(p.nx)[:, None] - p.nx // 2
     dj = np.arange(p.ny)[None, :] - p.ny // 2
     phi = np.where(di * di + dj * dj < p.seed_radius_sq, 1.0, 0.0)
-    return SimState(phi=Field(phi, p.dx), temp=Field.zeros(p.nx, p.ny, p.dx))
+    # the disk reaches a row (column) iff it holds that line's centre cell
+    rows = np.flatnonzero(phi[:, p.ny // 2])
+    cols = np.flatnonzero(phi[p.nx // 2])
+    box = None
+    if rows.size:
+        box = slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+    return _carrying(box, phi=Field(phi, p.dx), temp=Field.zeros(p.nx, p.ny, p.dx))
 
 
 def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimState:
@@ -207,13 +244,14 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     check in SimParams passed; a state field of another spacing, or of
     another shape than p.nx x p.ny, is a ValueError.
 
-    Only the window around the nonzero cells of phi and T is updated (see
-    lattice.support_window and WINDOW_REACH); every cell outside it is +0.0
-    in the result, as the whole-grid update would write there too: where all
-    inputs are +-0.0, every gradient and flux is zero, theta is 0 and eps is
-    constant, so each term is +-0.0 and the sums are +0.0.  When the nonzero
-    cells come within WINDOW_REACH of an edge the window spans that axis, and
-    the whole grid is the widest window.
+    Only the window around the nonzero cells of phi and T is updated: the
+    state's box widened by WINDOW_REACH (see lattice.widen).  Every cell
+    outside it is +0.0 in the result, as the whole-grid update would write
+    there too: where all inputs are +-0.0, every gradient and flux is zero,
+    theta is 0 and eps is constant, so each term is +-0.0 and the sums are
+    +0.0.  The result's box is therefore found on the window alone.  When
+    the nonzero cells come within WINDOW_REACH of an edge the window spans
+    that axis, and the whole grid is the widest window.
 
     Pass 1 (over the window): gradients and Laplacians of phi, Laplacian of
     T, the interface angle, eps/eps' fields, the flux product
@@ -242,7 +280,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
             raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     dx = p.dx
     shape = state.phi.data.shape
-    window = support_window(state.phi.data, state.temp.data, WINDOW_REACH)
+    window = widen(state.box, shape, WINDOW_REACH)
     # contiguous, so the ufuncs below run the same loops as on the whole grid
     phi = np.ascontiguousarray(state.phi.data[window])
     temp = np.ascontiguousarray(state.temp.data[window])
@@ -292,7 +330,11 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
             cell = (window[0].start + int(bad[0]), window[1].start + int(bad[1]))
             raise BlowupError(new_step, name, cell)
 
-    return SimState(
+    box = nonzero_box(phi_new, temp_new)
+    if box is not None:
+        box = tuple(slice(w.start + b.start, w.start + b.stop) for w, b in zip(window, box))
+    return _carrying(
+        box,
         phi=Field(embed(phi_new, shape, window), dx),
         temp=Field(embed(temp_new, shape, window), dx),
         step=new_step,

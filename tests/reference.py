@@ -110,6 +110,30 @@ def branchy_angle(gx, gy):
     return math.pi + math.atan(gy / gx)
 
 
+def naive_nonzero_box(a, b):
+    """Bounding box of the cells where a or b is nonzero, as (row slice,
+    column slice), or None; NaN counts as nonzero and -0.0 as zero."""
+    cells = np.argwhere((a != 0.0) | (b != 0.0))
+    if cells.size == 0:
+        return None
+    lo, hi = cells.min(axis=0), cells.max(axis=0) + 1
+    return slice(int(lo[0]), int(hi[0])), slice(int(lo[1]), int(hi[1]))
+
+
+def naive_window(a, b, reach):
+    """naive_nonzero_box widened by reach cells on each side; an axis whose
+    widened span would leave the grid takes the whole axis, and no box gives
+    the 1x1 window at the origin."""
+    box = naive_nonzero_box(a, b)
+    if box is None:
+        return slice(0, 1), slice(0, 1)
+    window = []
+    for s, n in zip(box, a.shape):
+        lo, hi = s.start - reach, s.stop + reach
+        window.append(slice(0, n) if lo < 0 or hi > n else slice(lo, hi))
+    return tuple(window)
+
+
 def reference_step(phi, temp, p, dx, dt, paper_divisor=True, replicate_bug=False, chi=None):
     """One explicit update of the coupled equations, written longhand.
 

@@ -449,8 +449,11 @@ class TestWindowedMeasure:
         p = SimParams(nx=40, ny=47, noise_amp=0.01, rng_seed=2)
         st = list(run_states(p, 6))[-1]
         far = np.logical_or.outer(np.arange(p.nx) % 3 == 0, np.arange(p.ny) % 4 == 0)
-        st.phi = Field(np.where(far & (st.phi.data == 0.0), -0.0, st.phi.data), p.dx)
-        st.temp = Field(np.where(far & (st.temp.data == 0.0), -0.0, st.temp.data), p.dx)
+        st = dataclasses.replace(
+            st,
+            phi=Field(np.where(far & (st.phi.data == 0.0), -0.0, st.phi.data), p.dx),
+            temp=Field(np.where(far & (st.temp.data == 0.0), -0.0, st.temp.data), p.dx),
+        )
         assert np.signbit(st.phi.data).any() and np.signbit(st.temp.data).any()
         assert_same_record(st, p)
 
@@ -461,7 +464,7 @@ class TestWindowedMeasure:
         st = list(run_states(p, 4))[-1]
         data = getattr(st, name).data.copy()
         data[cell] = np.nan
-        setattr(st, name, Field(data, p.dx))
+        st = dataclasses.replace(st, **{name: Field(data, p.dx)})
         rec = measure(st, p)
         assert np.isnan(rec.conservation_sum) and np.isnan(rec.free_energy)
         assert_same_record(st, p)

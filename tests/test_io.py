@@ -229,6 +229,14 @@ class TestSnapshot:
         header_end = blob.index(b"\n\n") + 2
         assert len(blob) - header_end == 2_000_000
 
+    def test_file_is_the_header_then_the_little_endian_payload(self, tmp_path):
+        data = np.random.default_rng(1).normal(size=(5, 7))
+        path = tmp_path / "f.pfds"
+        written = write_snapshot(Field(data, 0.03), path, name="temp", step=3, dt=1e-4)
+        header = b"PFDS1\nnx 5\nny 7\ndx 0.03\ndt 0.0001\nstep 3\nfield temp\n\n"
+        assert path.read_bytes() == header + data.astype("<f8").tobytes()
+        assert written == len(header) + 8 * data.size
+
     def test_header_is_human_readable(self, tmp_path):
         f = Field.zeros(4, 5, 0.03)
         path = tmp_path / "f.pfds"

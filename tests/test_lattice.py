@@ -16,8 +16,10 @@ from dendrosim.lattice import (
     gradient_arrays,
     laplacian9_arrays,
     lattice_sum,
+    nonzero_box,
     periodic_pad,
     support_window,
+    widen,
 )
 
 
@@ -133,6 +135,36 @@ class TestSupportWindow:
         assert support_window(a, np.zeros(self.SHAPE), 3) == (slice(6, 13), slice(11, 18))
         a[0, 14] = np.nan
         assert support_window(np.zeros(self.SHAPE), a, 3) == (slice(0, 20), slice(11, 18))
+
+    def test_reach_zero_is_the_box_itself(self):
+        a = np.zeros(self.SHAPE)
+        a[9, 14] = 1.0
+        assert support_window(a, np.zeros(self.SHAPE), 0) == (slice(9, 10), slice(14, 15))
+        assert support_window(np.zeros(self.SHAPE), a, 0) == (slice(9, 10), slice(14, 15))
+
+    def test_cells_on_every_edge_give_the_whole_box(self):
+        a = np.zeros(self.SHAPE)
+        b = np.zeros(self.SHAPE)
+        a[0, 5], a[7, -1], b[-1, 3], b[12, 0] = 1.0, np.nan, -1.0, 2.0
+        assert nonzero_box(a, b) == (slice(0, 20), slice(0, 30))
+        b[12, 0] = -0.0
+        assert nonzero_box(a, b) == (slice(0, 20), slice(3, 30))
+
+    @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**32 - 1),
+           st.integers(0, 4))
+    def test_box_and_window_match_the_longhand(self, nx, ny, seed, reach):
+        rng = np.random.default_rng(seed)
+        pair = []
+        for _ in range(2):
+            # mostly signed zeros, a few cells of any value, NaN among them
+            a = np.where(rng.random((nx, ny)) < 0.5, -0.0, 0.0)
+            live = rng.random((nx, ny)) < rng.choice([0.0, 0.05, 0.3, 1.0])
+            a[live] = rng.choice([1.0, -2.5, 5e-324, np.nan], size=int(live.sum()))
+            pair.append(a)
+        box = nonzero_box(*pair)
+        assert box == R.naive_nonzero_box(*pair)
+        assert widen(box, (nx, ny), reach) == R.naive_window(*pair, reach)
+        assert support_window(*pair, reach) == R.naive_window(*pair, reach)
 
     def test_embed_writes_into_zeros_and_keeps_a_whole_grid_array(self):
         a = np.arange(1.0, 7.0).reshape(2, 3)

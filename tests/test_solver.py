@@ -1,5 +1,6 @@
 """Time integration: stability bounds, initialization, the update step, run."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,8 +8,17 @@ import numpy as np
 import pytest
 
 import reference as R
-from dendrosim.diagnostics import free_energy
-from dendrosim.lattice import CENTERED, PAPER_CODE, Field, lattice_sum, support_window
+from dendrosim import lattice, solver
+from dendrosim.diagnostics import free_energy, measure
+from dendrosim.lattice import (
+    CENTERED,
+    PAPER_CODE,
+    Field,
+    lattice_sum,
+    nonzero_box,
+    support_window,
+    widen,
+)
 from dendrosim.physics import RngStream, m_of_temperature
 from dendrosim.solver import (
     BlowupError,
@@ -157,6 +167,25 @@ class TestInitialize:
         assert (st.step, st.time) == (0, 0.0)
 
 
+def seeded_state(p, layout):
+    """initialize(p), its seed at the grid centre ("centred"), moved across
+    the row wrap ("row-edge") or the corner ("corner"), or in a far field
+    holding -0.0 cells ("negative-zero")."""
+    st = initialize(p)
+    if layout == "centred":
+        return st
+    phi, temp = st.phi.data, st.temp.data
+    if layout == "row-edge":
+        phi = np.roll(phi, p.nx // 2, axis=0)
+    elif layout == "corner":
+        phi = np.roll(phi, (p.nx // 2, p.ny // 2), axis=(0, 1))
+    elif layout == "negative-zero":
+        far = np.logical_or.outer(np.arange(p.nx) % 5 == 0, np.arange(p.ny) % 7 == 0)
+        phi = np.where(far & (phi == 0.0), -0.0, phi)
+        temp = np.where(far, -0.0, temp)
+    return SimState(phi=Field(phi, p.dx), temp=Field(temp, p.dx))
+
+
 class TestStepAgainstOracle:
     @pytest.mark.parametrize("paper_div", [True, False])
     @pytest.mark.parametrize("bug", [False, True])
@@ -208,14 +237,13 @@ class TestStepAgainstOracle:
         # where stepping blows up at step 8
         p = small_params()
         st = initialize(p)
-        setattr(st, name, Field(getattr(st, name).data, 0.005))
+        st = dataclasses.replace(st, **{name: Field(getattr(st, name).data, 0.005)})
         with pytest.raises(ValueError, match=rf"state {name} has dx=0\.005.*dx=0\.03"):
             step(st, p)
 
     def test_phi_and_temp_shapes_must_agree(self):
         p = small_params()
-        st = initialize(p)
-        st.temp = Field.zeros(16, 16, p.dx)
+        st = dataclasses.replace(initialize(p), temp=Field.zeros(16, 16, p.dx))
         with pytest.raises(ValueError, match=r"state temp has shape 16x16.*32x32"):
             step(st, p)
 
@@ -275,17 +303,8 @@ class TestStepAgainstRollStep:
             divisor_mode=PAPER_CODE if paper_div else CENTERED,
             replicate_appendix_bug=bug, total_steps=30,
         )
-        st = initialize(p)
+        st = seeded_state(p, layout)
         phi, temp = st.phi.data, st.temp.data
-        if layout == "row-edge":
-            phi = np.roll(phi, nx // 2, axis=0)
-        elif layout == "corner":
-            phi = np.roll(phi, (nx // 2, ny // 2), axis=(0, 1))
-        elif layout == "negative-zero":
-            far = np.logical_or.outer(np.arange(nx) % 5 == 0, np.arange(ny) % 7 == 0)
-            phi = np.where(far & (phi == 0.0), -0.0, phi)
-            temp = np.where(far, -0.0, temp)
-        st = SimState(phi=Field(phi, p.dx), temp=Field(temp, p.dx))
         stream, twin_stream = RngStream(5), RngStream(5)
         areas = []
         for _ in range(p.total_steps):
@@ -334,6 +353,96 @@ class TestNoRolledCopies:
             st = step(initialize(p), p, rng=RngStream(1))
             m = Field(m_of_temperature(st.temp.data, p), p.dx)
             assert np.isfinite(free_energy(st.phi, m, p))
+
+
+class TestNoGridScan:
+    def test_small_window_step_and_sample_scan_only_the_window(self, monkeypatch):
+        # 12 steps into a noisy 300x300 run: the step scans its window-sized
+        # result for the next box, and the sample scans nothing
+        n = 300
+        p = SimParams(nx=n, ny=n, noise_amp=0.01, rng_seed=1)
+        st, rng = initialize(p), RngStream(p.rng_seed)
+        for _ in range(12):
+            st = step(st, p, rng)
+        shapes = []
+
+        def recording(a, b):
+            shapes.append((a.shape, b.shape))
+            return nonzero_box(a, b)
+
+        monkeypatch.setattr(solver, "nonzero_box", recording)
+        monkeypatch.setattr(lattice, "nonzero_box", recording)
+        rows, cols = widen(st.box, (n, n), WINDOW_REACH)
+        window = (rows.stop - rows.start, cols.stop - cols.start)
+        assert window[0] * window[1] < n * n / 10
+        out = step(st, p, rng)
+        assert shapes == [(window, window)]
+        shapes.clear()
+        measure(out, p)
+        assert shapes == []
+
+
+class TestCarriedBox:
+    """The box a state carries is the box of its nonzero cells, and the
+    step's window is that box widened by WINDOW_REACH."""
+
+    def assert_boxes_carried(self, st, p, rng):
+        for _ in range(p.total_steps):
+            assert st.box == R.naive_nonzero_box(st.phi.data, st.temp.data)
+            assert widen(st.box, (p.nx, p.ny), WINDOW_REACH) == R.naive_window(
+                st.phi.data, st.temp.data, WINDOW_REACH)
+            st = step(st, p, rng)
+        assert st.box == R.naive_nonzero_box(st.phi.data, st.temp.data)
+        return st
+
+    @pytest.mark.parametrize("layout", ["centred", "row-edge", "corner", "negative-zero"])
+    @pytest.mark.parametrize("variant", ["noisy", "appendix-bug", "centered", "no-latent-heat"])
+    def test_every_step_of_a_seeded_run(self, layout, variant):
+        p = SimParams(
+            nx=40, ny=47, noise_amp=0.01, seed_radius_sq=4.0, total_steps=30,
+            replicate_appendix_bug=variant == "appendix-bug",
+            divisor_mode=CENTERED if variant == "centered" else PAPER_CODE,
+            latent_heat=0.0 if variant == "no-latent-heat" else SimParams.latent_heat,
+        )
+        st = self.assert_boxes_carried(seeded_state(p, layout), p, RngStream(5))
+        # the runs reach the whole-grid window and a box spanning the grid
+        assert st.box == (slice(0, p.nx), slice(0, p.ny))
+
+    def test_three_by_three_grid(self):
+        rng = np.random.default_rng(44)
+        p = SimParams(nx=3, ny=3, noise_amp=0.01, seed_radius_sq=0.0, total_steps=10)
+        st = SimState(phi=Field(rng.random((3, 3)), p.dx),
+                      temp=Field(rng.normal(0.0, 0.3, (3, 3)), p.dx))
+        self.assert_boxes_carried(st, p, RngStream(5))
+
+    def test_all_zero_start(self):
+        p = small_params(noise_amp=0.01, seed_radius_sq=0.0)
+        st = self.assert_boxes_carried(initialize(p), p, RngStream(5))
+        assert st.box is None
+
+    def test_fields_cannot_be_assigned(self):
+        st = initialize(small_params())
+        for name in ("phi", "temp", "step", "time", "box"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(st, name, getattr(st, name))
+
+    def test_nan_put_outside_the_box_by_replace_is_seen(self):
+        p = small_params(nx=40, ny=47)
+        st = initialize(p)
+        for _ in range(4):
+            st = step(st, p)
+        cell = (37, 3)
+        rows, cols = widen(st.box, (p.nx, p.ny), WINDOW_REACH)
+        assert not (rows.start <= cell[0] < rows.stop and cols.start <= cell[1] < cols.stop)
+        temp = st.temp.data.copy()
+        temp[cell] = np.nan
+        bad = dataclasses.replace(st, temp=Field(temp, p.dx))
+        # m(NaN) makes the reaction term NaN at that cell, and at no other
+        with pytest.raises(BlowupError) as exc_info:
+            step(bad, p)
+        assert (exc_info.value.field_name, exc_info.value.cell) == ("phi", cell)
+        rec = measure(bad, p)
+        assert np.isnan(rec.conservation_sum) and np.isnan(rec.free_energy)
 
 
 class TestFixedPoints:
