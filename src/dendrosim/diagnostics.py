@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import CENTERED, Field, gradient_arrays, lattice_sum, widen
+from .lattice import CENTERED, REACH, Field, gradient_arrays, lattice_sum, widen
 from .physics import (
     anisotropy_phase,
     double_well,
@@ -23,9 +23,6 @@ SOLID_THRESHOLD = 0.5
 # arm_count: the least swing of the sector radius profile, in grid cells, that
 # is more than lattice wiggle (a lattice disk up to 140 cells swings under one)
 ARM_MIN_CELLS = 2.0
-# measure's sums run on the support window widened by this many cells (see
-# measure for why 2 keeps the bits)
-SAMPLE_REACH = 2
 
 _DIRECTIONS = ("+x", "-x", "+y", "-y")
 
@@ -165,21 +162,17 @@ def measure(state, p) -> DiagnosticsRecord:
     """All per-sample scalars for one state of a run with SimParams p.
 
     The m field and the sums of conservation_sum and free_energy are taken
-    on the state's box widened by SAMPLE_REACH cells (lattice.widen), and
-    give the bits of the whole-grid calls:
-    - every cell outside the window is +-0.0 with zero gradients, so it
-      adds +-0.0 to every sum;
-    - the window's border, two cells deep, is zero too, so a border cell's
-      wrapped neighbours in the window are zeros as in the grid, and its
-      gradients and density are those of the grid;
-    - lattice_sum is correctly rounded, so the sum over the window equals
-      the sum over the grid.
-    The exception is a cell within lattice_sum's overflow margin, which
-    depends on the cell count: there both sums fall back to numpy's and may
-    differ.
+    on the state's box widened by lattice.REACH (lattice.widen), and give
+    the bits of the whole-grid calls: every cell outside the window, and
+    every wrapped neighbour of a cell in it, is +-0.0 with zero gradients,
+    so each cell's density is that of the grid, and lattice_sum is
+    correctly rounded, so the sum over the window equals the sum over the
+    grid.  The exception is a cell within lattice_sum's overflow margin,
+    which depends on the cell count: there both sums fall back to numpy's
+    and may differ.
     """
     phi, temp = state.phi, state.temp
-    rows, cols = widen(state.box, phi.data.shape, SAMPLE_REACH)
+    rows, cols = widen(state.box, phi.data.shape, REACH)
     # an all-zero state gives the 1x1 window, and a Field needs 3 cells a side
     window = slice(rows.start, max(rows.stop, 3)), slice(cols.start, max(cols.stop, 3))
     cut = replace(state, phi=Field(phi.data[window], phi.dx),

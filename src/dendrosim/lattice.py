@@ -16,7 +16,7 @@ CENTERED = "centered"
 DIVISOR_MODES = (PAPER_CODE, CENTERED)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Field:
     """Scalar values on a periodic nx-by-ny lattice of square cells of side dx."""
 
@@ -24,7 +24,7 @@ class Field:
     dx: float
 
     def __post_init__(self):
-        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
+        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float64))
         if self.data.ndim != 2 or min(self.data.shape) < 3:
             raise ValueError(
                 f"grid extents must be >= 3, got {'x'.join(map(str, self.data.shape))}"
@@ -101,6 +101,13 @@ def nonzero_box(a: np.ndarray, b: np.ndarray) -> Box | None:
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
+# How far past the box of the nonzero phi and T cells a window reaches for
+# the work on it to give the whole grid's bits.  A new value depends on cells
+# at most 2 away (stencils of stencils), so every cell further out holds
+# +-0.0 with zero gradients and updates to +0.0.
+REACH = 2
+
+
 def widen(box: Box | None, shape: tuple[int, int], reach: int) -> Box:
     """`box` widened by `reach` cells on each side, within a grid of `shape`.
 
@@ -116,12 +123,6 @@ def widen(box: Box | None, shape: tuple[int, int], reach: int) -> Box:
         else slice(s.start - reach, s.stop + reach)
         for s, n in zip(box, shape)
     )
-
-
-def support_window(a: np.ndarray, b: np.ndarray, reach: int) -> Box:
-    """(row slice, column slice) of the box around the nonzero cells of `a`
-    and `b` (nonzero_box), widened by `reach` cells on each side (widen)."""
-    return widen(nonzero_box(a, b), a.shape, reach)
 
 
 def embed(a: np.ndarray, shape: tuple[int, int], window: tuple[slice, slice]) -> np.ndarray:

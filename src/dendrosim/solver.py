@@ -17,6 +17,7 @@ import numpy as np
 from .lattice import (
     PAPER_CODE,
     DIVISOR_MODES,
+    REACH,
     Field,
     divisors,
     embed,
@@ -35,16 +36,6 @@ from .physics import (
     noise_term,
     reaction_term,
 )
-
-
-# How far the window that `step` updates reaches beyond the nonzero phi and
-# T cells.  A new value depends on phi and T at most 2 cells away (stencils
-# of stencils), so cells further out step from exact zeros to +0.0.  The
-# third cell is for replicate_appendix_bug, which spreads the eps^2 gradient
-# of the last cell over the grid: it keeps the eps^2 neighbours of the
-# window's last cell constant, so that gradient is +0.0 there, as it is at
-# the grid's last cell.
-WINDOW_REACH = 3
 
 
 class BlowupError(RuntimeError):
@@ -181,15 +172,20 @@ class SimState:
     growth phase only: once the window spans the grid (step 144 of the desk
     preset), a step costs what it did with a scan.
     A state is immutable, so its fields can never change under its box:
-    assigning one raises FrozenInstanceError (an API change: the fields
-    were assignable before), and a changed copy is made with
-    dataclasses.replace.  Its arrays must not be written in place either.
+    assigning one raises FrozenInstanceError, and a changed copy is made
+    with dataclasses.replace.  Building a state makes its phi and T arrays
+    read-only, the caller's own array too where Field did not copy it, so
+    writing into them raises ValueError.
     """
 
     phi: Field
     temp: Field
     step: int = 0
     time: float = 0.0
+
+    def __post_init__(self):
+        self.phi.data.flags.writeable = False
+        self.temp.data.flags.writeable = False
 
     @functools.cached_property
     def box(self):
@@ -245,13 +241,12 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     another shape than p.nx x p.ny, is a ValueError.
 
     Only the window around the nonzero cells of phi and T is updated: the
-    state's box widened by WINDOW_REACH (see lattice.widen).  Every cell
-    outside it is +0.0 in the result, as the whole-grid update would write
-    there too: where all inputs are +-0.0, every gradient and flux is zero,
-    theta is 0 and eps is constant, so each term is +-0.0 and the sums are
-    +0.0.  The result's box is therefore found on the window alone.  When
-    the nonzero cells come within WINDOW_REACH of an edge the window spans
-    that axis, and the whole grid is the widest window.
+    state's box widened by lattice.REACH (see there for why that gives the
+    bits of the whole-grid update), and by one more cell under
+    replicate_appendix_bug.  Every cell outside it is +0.0 in the result,
+    so the result's box is found on the window alone.  When the nonzero
+    cells come within reach of an edge the window spans that axis
+    (lattice.widen), and the whole grid is the widest window.
 
     Pass 1 (over the window): gradients and Laplacians of phi, Laplacian of
     T, the interface angle, eps/eps' fields, the flux product
@@ -280,7 +275,9 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
             raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     dx = p.dx
     shape = state.phi.data.shape
-    window = widen(state.box, shape, WINDOW_REACH)
+    # the stale eps^2 scalars are read at the window's last cell, so that
+    # cell's eps^2 neighbours must be constant, as at the grid's last cell
+    window = widen(state.box, shape, REACH + 1 if p.replicate_appendix_bug else REACH)
     # contiguous, so the ufuncs below run the same loops as on the whole grid
     phi = np.ascontiguousarray(state.phi.data[window])
     temp = np.ascontiguousarray(state.temp.data[window])
@@ -299,8 +296,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     ge2x, ge2y = gradient_arrays(eps2, dx, p.divisor_mode)
     if p.replicate_appendix_bug:
         # stale scalars from the last cell visited by the reference code
-        ge2x = np.full_like(ge2x, ge2x[-1, -1])
-        ge2y = np.full_like(ge2y, ge2y[-1, -1])
+        ge2x, ge2y = ge2x[-1, -1], ge2y[-1, -1]
 
     chi = None
     if p.noise_amp > 0.0:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dendrosim
+from dendrosim import SimParams
 from dendrosim.cli import PRESETS, main
 from dendrosim.io import (
     CONFIG_KEYS,
@@ -306,6 +307,34 @@ class TestSweep:
         assert capsys.readouterr().err == "config error: repeated --values token '1.0'\n"
         assert not out.exists()
 
+    def test_zero_jobs_rejected_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep", *BASE, "--param", "latent_heat", "--values", "1.0",
+                     "--jobs", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+        assert not out.exists()
+
+    def test_empty_values_list_rejected_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep", *BASE, "--param", "latent_heat", "--values", ",",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: empty --values list\n"
+        assert not out.exists()
+
+    def test_blocked_run_directory_fails_only_that_run(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "latent_heat=1.2").write_text("in the way\n")
+        code = main(["sweep", *BASE, "--param", "latent_heat", "--values", "1.0,1.2,1.4",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        summary = (out / "sweep_summary.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in summary[1:]] == \
+            [["1.0", "ok"], ["1.2", "failed"], ["1.4", "ok"]]
+        assert "latent_heat=1.2" in captured.err
+        assert "2/3 runs ok" in captured.out
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failed_run_marked_and_others_continue(self, tmp_path, capsys):
@@ -408,3 +437,14 @@ class TestReadme:
     def test_preset_table_names_every_preset(self):
         names = re.findall(r"^\| `([\w-]+)` +\|", README, flags=re.MULTILINE)
         assert names == list(PRESETS)
+
+    def test_defaults_paragraph_matches_simparams(self):
+        paragraph = README.split("The baseline defaults are ", 1)[1].split("\n\n", 1)[0]
+        text = " ".join(paragraph.split())
+        stated = {key: float(value) for key, value in re.findall(r"`(\w+) = ([^`]+)`", text)}
+        grid = re.match(r"a (\d+)x(\d+) grid, .*? (\d+) steps, .* squared radius (\d+) cells",
+                        text)
+        stated.update(zip(("nx", "ny", "total_steps", "seed_radius_sq"), map(float, grid.groups())))
+        defaults = SimParams()
+        assert len(stated) == 16
+        assert stated == {key: getattr(defaults, key) for key in stated}

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as hst
 import reference as R
 from dendrosim.diagnostics import (
     ARM_MIN_CELLS,
-    SAMPLE_REACH,
     DiagnosticsRecord,
     _radius_profile,
     arm_count,
@@ -20,7 +19,7 @@ from dendrosim.diagnostics import (
     solid_fraction,
     tip_extent,
 )
-from dendrosim.lattice import CENTERED, PAPER_CODE, Field, support_window
+from dendrosim.lattice import CENTERED, PAPER_CODE, REACH, Field, nonzero_box, widen
 from dendrosim.physics import RngStream, double_well, m_of_temperature
 from dendrosim.solver import SimParams, SimState, initialize, step
 
@@ -421,16 +420,16 @@ def assert_same_record(state, p):
 
 
 class TestWindowedMeasure:
-    """measure sums on the support window; the records equal the whole-grid
-    ones.  (lattice_sum's near-overflow fallback, whose threshold depends on
-    the cell count, is the one case where they may differ; no state here
-    comes near it.)"""
+    """measure sums on the box widened by REACH; the records equal the
+    whole-grid ones.  (lattice_sum's near-overflow fallback, whose threshold
+    depends on the cell count, is the one case where they may differ; no
+    state here comes near it.)"""
 
     def test_every_step_of_a_noisy_run(self):
         p = SimParams(nx=40, ny=56, noise_amp=0.01, rng_seed=3, seed_radius_sq=6.0)
         spans = set()
         for st in run_states(p, 40):
-            rows, cols = support_window(st.phi.data, st.temp.data, SAMPLE_REACH)
+            rows, cols = widen(nonzero_box(st.phi.data, st.temp.data), (p.nx, p.ny), REACH)
             spans.add((rows.stop - rows.start == p.nx, cols.stop - cols.start == p.ny))
             assert_same_record(st, p)
         # small windows, windows spanning one axis, and spanning both
@@ -474,7 +473,7 @@ class TestWindowedMeasure:
         p = SimParams(nx=shape[0], ny=shape[1], seed_radius_sq=0.0)
         zeros = Field.zeros(*shape, p.dx)
         st = SimState(phi=zeros, temp=zeros)
-        assert support_window(zeros.data, zeros.data, SAMPLE_REACH) == (slice(0, 1), slice(0, 1))
+        assert widen(nonzero_box(zeros.data, zeros.data), shape, REACH) == (slice(0, 1), slice(0, 1))
         assert measure(st, p).free_energy == 0.0
         assert_same_record(st, p)
 

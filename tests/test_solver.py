@@ -13,10 +13,10 @@ from dendrosim.diagnostics import free_energy, measure
 from dendrosim.lattice import (
     CENTERED,
     PAPER_CODE,
+    REACH,
     Field,
     lattice_sum,
     nonzero_box,
-    support_window,
     widen,
 )
 from dendrosim.physics import RngStream, m_of_temperature
@@ -24,7 +24,6 @@ from dendrosim.solver import (
     BlowupError,
     SimParams,
     SimState,
-    WINDOW_REACH,
     initialize,
     run,
     stability_check,
@@ -288,6 +287,46 @@ class TestStepAgainstRollStep:
         np.testing.assert_array_equal(st.phi.data, phi)
         np.testing.assert_array_equal(st.temp.data, temp)
 
+    @pytest.mark.parametrize("side", ["top", "bottom", "left", "right"])
+    @pytest.mark.parametrize("along", ["first", "last"])
+    @pytest.mark.parametrize("j_mode", [4, 6])
+    @pytest.mark.parametrize("paper_div", [True, False])
+    def test_negative_zeros_at_the_reach_boundary_bitwise(self, side, along, j_mode, paper_div):
+        # -0.0 at (r+1, box+2), on the window's last ring, and at (r, box+3),
+        # just outside it: the wrap within the window must not change the
+        # sign of a zero the whole-grid update writes
+        for delta in (0.01, 0.05):
+            p = SimParams(nx=40, ny=47, j_mode=j_mode, delta=delta, seed_radius_sq=4.0,
+                          divisor_mode=PAPER_CODE if paper_div else CENTERED)
+            st = initialize(p)
+            for _ in range(3):
+                st = step(st, p)
+            axis = 0 if side in ("top", "bottom") else 1
+            span, across = st.box[1 - axis], st.box[axis]
+            r = span.start if along == "first" else span.stop - 2
+            if side in ("bottom", "right"):
+                far = [across.stop - 1 + d for d in (REACH, REACH + 1)]
+            else:
+                far = [across.start - d for d in (REACH, REACH + 1)]
+            cells = [(r + 1, far[0]), (r, far[1])]
+            if axis == 0:
+                cells = [(i, j) for j, i in cells]
+            rows, cols = widen(st.box, (p.nx, p.ny), REACH)
+            inside = [rows.start <= i < rows.stop and cols.start <= j < cols.stop for i, j in cells]
+            assert inside == [True, False]
+            for where in ("phi", "temp", "both"):
+                phi, temp = st.phi.data.copy(), st.temp.data.copy()
+                for name, a in (("phi", phi), ("temp", temp)):
+                    if where in (name, "both"):
+                        for cell in cells:
+                            a[cell] = -0.0
+                bad = SimState(phi=Field(phi, p.dx), temp=Field(temp, p.dx))
+                assert bad.box == st.box
+                out = step(bad, p)
+                want_phi, want_temp = R.roll_step(phi, temp, p, p.dx, p.dt, paper_divisor=paper_div)
+                assert out.phi.data.tobytes() == want_phi.tobytes()
+                assert out.temp.data.tobytes() == want_temp.tobytes()
+
     @pytest.mark.parametrize("layout", ["centred", "row-edge", "corner", "negative-zero"])
     @pytest.mark.parametrize("j_mode", [4, 6])
     @pytest.mark.parametrize("paper_div", [True, False])
@@ -308,7 +347,7 @@ class TestStepAgainstRollStep:
         stream, twin_stream = RngStream(5), RngStream(5)
         areas = []
         for _ in range(p.total_steps):
-            rows, cols = support_window(st.phi.data, st.temp.data, WINDOW_REACH)
+            rows, cols = widen(nonzero_box(st.phi.data, st.temp.data), (p.nx, p.ny), REACH)
             areas.append((rows.stop - rows.start) * (cols.stop - cols.start))
             st = step(st, p, rng=stream)
             phi, temp = R.roll_step(
@@ -356,11 +395,9 @@ class TestNoRolledCopies:
 
 
 class TestNoGridScan:
-    def test_small_window_step_and_sample_scan_only_the_window(self, monkeypatch):
+    def assert_scans_only_the_window(self, monkeypatch, p, reach):
         # 12 steps into a noisy 300x300 run: the step scans its window-sized
         # result for the next box, and the sample scans nothing
-        n = 300
-        p = SimParams(nx=n, ny=n, noise_amp=0.01, rng_seed=1)
         st, rng = initialize(p), RngStream(p.rng_seed)
         for _ in range(12):
             st = step(st, p, rng)
@@ -372,25 +409,33 @@ class TestNoGridScan:
 
         monkeypatch.setattr(solver, "nonzero_box", recording)
         monkeypatch.setattr(lattice, "nonzero_box", recording)
-        rows, cols = widen(st.box, (n, n), WINDOW_REACH)
+        rows, cols = widen(st.box, (p.nx, p.ny), reach)
         window = (rows.stop - rows.start, cols.stop - cols.start)
-        assert window[0] * window[1] < n * n / 10
+        assert window[0] * window[1] < p.nx * p.ny / 10
         out = step(st, p, rng)
         assert shapes == [(window, window)]
         shapes.clear()
         measure(out, p)
         assert shapes == []
 
+    def test_small_window_step_and_sample_scan_only_the_window(self, monkeypatch):
+        p = SimParams(nx=300, ny=300, noise_amp=0.01, rng_seed=1)
+        self.assert_scans_only_the_window(monkeypatch, p, REACH)
+
+    def test_appendix_bug_step_reaches_one_cell_further(self, monkeypatch):
+        p = SimParams(nx=300, ny=300, noise_amp=0.01, rng_seed=1, replicate_appendix_bug=True)
+        self.assert_scans_only_the_window(monkeypatch, p, REACH + 1)
+
 
 class TestCarriedBox:
     """The box a state carries is the box of its nonzero cells, and the
-    step's window is that box widened by WINDOW_REACH."""
+    step's window is that box widened by REACH."""
 
     def assert_boxes_carried(self, st, p, rng):
         for _ in range(p.total_steps):
             assert st.box == R.naive_nonzero_box(st.phi.data, st.temp.data)
-            assert widen(st.box, (p.nx, p.ny), WINDOW_REACH) == R.naive_window(
-                st.phi.data, st.temp.data, WINDOW_REACH)
+            assert widen(st.box, (p.nx, p.ny), REACH) == R.naive_window(
+                st.phi.data, st.temp.data, REACH)
             st = step(st, p, rng)
         assert st.box == R.naive_nonzero_box(st.phi.data, st.temp.data)
         return st
@@ -426,13 +471,27 @@ class TestCarriedBox:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(st, name, getattr(st, name))
 
+    def test_state_arrays_are_read_only(self):
+        # a write into a state's array would leave its carried box stale
+        p = SimParams(nx=40, ny=47)
+        st = initialize(p)
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            st.temp.data[37, 3] = np.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.phi.data = np.zeros((p.nx, p.ny))
+        out = step(st, p)
+        assert not (out.phi.data.flags.writeable or out.temp.data.flags.writeable)
+        own = np.zeros((p.nx, p.ny))
+        SimState(phi=Field(own, p.dx), temp=Field(own, p.dx))
+        assert not own.flags.writeable
+
     def test_nan_put_outside_the_box_by_replace_is_seen(self):
         p = small_params(nx=40, ny=47)
         st = initialize(p)
         for _ in range(4):
             st = step(st, p)
         cell = (37, 3)
-        rows, cols = widen(st.box, (p.nx, p.ny), WINDOW_REACH)
+        rows, cols = widen(st.box, (p.nx, p.ny), REACH)
         assert not (rows.start <= cell[0] < rows.stop and cols.start <= cell[1] < cols.stop)
         temp = st.temp.data.copy()
         temp[cell] = np.nan
@@ -504,7 +563,7 @@ class TestBlowup:
         phi, temp = st.phi.data, st.temp.data
         with pytest.raises(BlowupError) as exc_info:
             for _ in range(50):
-                rows, cols = support_window(st.phi.data, st.temp.data, WINDOW_REACH)
+                rows, cols = widen(nonzero_box(st.phi.data, st.temp.data), (p.nx, p.ny), REACH)
                 st = step(st, p)
                 phi, temp = R.roll_step(phi, temp, p, p.dx, p.dt)
         err = exc_info.value
