@@ -104,8 +104,15 @@ def nonzero_box(a: np.ndarray, b: np.ndarray) -> Box | None:
 # How far past the box of the nonzero phi and T cells a window reaches for
 # the work on it to give the whole grid's bits.  A new value depends on cells
 # at most 2 away (stencils of stencils), so every cell further out holds
-# +-0.0 with zero gradients and updates to +0.0.
-REACH = 2
+# +-0.0 with zero gradients and updates to +0.0.  The third cell is for the
+# wrap at the window's edge: there a stencil reads the far side of the
+# window where the grid reads the next cell out.  Both hold +-0.0, but a
+# -0.0 can turn the angle of a zero gradient from 0 to pi and so change
+# eps^2 in the last bit; 3 cells out, that eps^2 meets only zero gradients
+# of phi.  The third cell also keeps the eps^2 neighbours of the window's
+# last cell constant, as at the grid's last cell, where
+# replicate_appendix_bug reads its stale scalars.
+REACH = 3
 
 
 def widen(box: Box | None, shape: tuple[int, int], reach: int) -> Box:

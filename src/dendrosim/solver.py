@@ -242,10 +242,9 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
 
     Only the window around the nonzero cells of phi and T is updated: the
     state's box widened by lattice.REACH (see there for why that gives the
-    bits of the whole-grid update), and by one more cell under
-    replicate_appendix_bug.  Every cell outside it is +0.0 in the result,
-    so the result's box is found on the window alone.  When the nonzero
-    cells come within reach of an edge the window spans that axis
+    bits of the whole-grid update).  Every cell outside it is +0.0 in the
+    result, so the result's box is found on the window alone.  When the
+    nonzero cells come within reach of an edge the window spans that axis
     (lattice.widen), and the whole grid is the widest window.
 
     Pass 1 (over the window): gradients and Laplacians of phi, Laplacian of
@@ -275,9 +274,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
             raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     dx = p.dx
     shape = state.phi.data.shape
-    # the stale eps^2 scalars are read at the window's last cell, so that
-    # cell's eps^2 neighbours must be constant, as at the grid's last cell
-    window = widen(state.box, shape, REACH + 1 if p.replicate_appendix_bug else REACH)
+    window = widen(state.box, shape, REACH)
     # contiguous, so the ufuncs below run the same loops as on the whole grid
     phi = np.ascontiguousarray(state.phi.data[window])
     temp = np.ascontiguousarray(state.temp.data[window])

@@ -291,13 +291,18 @@ class TestStepAgainstRollStep:
     @pytest.mark.parametrize("along", ["first", "last"])
     @pytest.mark.parametrize("j_mode", [4, 6])
     @pytest.mark.parametrize("paper_div", [True, False])
-    def test_negative_zeros_at_the_reach_boundary_bitwise(self, side, along, j_mode, paper_div):
-        # -0.0 at (r+1, box+2), on the window's last ring, and at (r, box+3),
-        # just outside it: the wrap within the window must not change the
-        # sign of a zero the whole-grid update writes
+    @pytest.mark.parametrize("theta0", [0.3, 1.0, 1.57])
+    def test_negative_zeros_at_the_reach_boundary_bitwise(self, side, along, j_mode, paper_div,
+                                                          theta0):
+        # -0.0 at (r+1, box+REACH), on the window's last ring, and at
+        # (r, box+REACH+1), just outside it: the window's last cells wrap to
+        # the far side where the grid reads those cells, and the angle of a
+        # zero gradient turns on the sign of a zero.  At theta0 = 1.57 eps
+        # rounds alike at the angles 0 and pi; at 0.3 and 1.0 it does not
+        # (and REACH = 2 fails there).
         for delta in (0.01, 0.05):
-            p = SimParams(nx=40, ny=47, j_mode=j_mode, delta=delta, seed_radius_sq=4.0,
-                          divisor_mode=PAPER_CODE if paper_div else CENTERED)
+            p = SimParams(nx=40, ny=47, j_mode=j_mode, delta=delta, theta0=theta0,
+                          seed_radius_sq=4.0, divisor_mode=PAPER_CODE if paper_div else CENTERED)
             st = initialize(p)
             for _ in range(3):
                 st = step(st, p)
@@ -335,9 +340,26 @@ class TestStepAgainstRollStep:
     def test_seeded_window_steps_bitwise(self, layout, j_mode, paper_div, bug, no_latent_heat):
         # a small seed in a zero melt: step updates only the window around
         # it; with no latent heat T stays +0.0 and the window follows phi
+        self.assert_seeded_steps_bitwise(layout, j_mode=j_mode, paper_div=paper_div, bug=bug,
+                                         no_latent_heat=no_latent_heat)
+
+    @pytest.mark.parametrize("j_mode", [4, 6])
+    @pytest.mark.parametrize("paper_div", [True, False])
+    @pytest.mark.parametrize("bug", [False, True])
+    @pytest.mark.parametrize("theta0", [0.3, 1.0])
+    def test_negative_zero_melt_bitwise_away_from_the_default_theta0(self, j_mode, paper_div,
+                                                                     bug, theta0):
+        # at theta0 = 1.57, j theta0 is near a multiple of pi, where eps of
+        # the angles 0 and pi that zero gradients of either sign give round
+        # alike; elsewhere they differ in the last bit
+        self.assert_seeded_steps_bitwise("negative-zero", j_mode=j_mode, paper_div=paper_div,
+                                         bug=bug, theta0=theta0)
+
+    def assert_seeded_steps_bitwise(self, layout, *, j_mode, paper_div, bug,
+                                    no_latent_heat=False, theta0=SimParams.theta0):
         nx, ny = 40, 47
         p = SimParams(
-            nx=nx, ny=ny, noise_amp=0.01, j_mode=j_mode, seed_radius_sq=4.0,
+            nx=nx, ny=ny, noise_amp=0.01, j_mode=j_mode, seed_radius_sq=4.0, theta0=theta0,
             latent_heat=0.0 if no_latent_heat else SimParams.latent_heat,
             divisor_mode=PAPER_CODE if paper_div else CENTERED,
             replicate_appendix_bug=bug, total_steps=30,
@@ -395,9 +417,11 @@ class TestNoRolledCopies:
 
 
 class TestNoGridScan:
-    def assert_scans_only_the_window(self, monkeypatch, p, reach):
+    def test_small_window_step_and_sample_scan_only_the_window(self, monkeypatch):
         # 12 steps into a noisy 300x300 run: the step scans its window-sized
         # result for the next box, and the sample scans nothing
+        n = 300
+        p = SimParams(nx=n, ny=n, noise_amp=0.01, rng_seed=1)
         st, rng = initialize(p), RngStream(p.rng_seed)
         for _ in range(12):
             st = step(st, p, rng)
@@ -409,22 +433,14 @@ class TestNoGridScan:
 
         monkeypatch.setattr(solver, "nonzero_box", recording)
         monkeypatch.setattr(lattice, "nonzero_box", recording)
-        rows, cols = widen(st.box, (p.nx, p.ny), reach)
+        rows, cols = widen(st.box, (n, n), REACH)
         window = (rows.stop - rows.start, cols.stop - cols.start)
-        assert window[0] * window[1] < p.nx * p.ny / 10
+        assert window[0] * window[1] < n * n / 10
         out = step(st, p, rng)
         assert shapes == [(window, window)]
         shapes.clear()
         measure(out, p)
         assert shapes == []
-
-    def test_small_window_step_and_sample_scan_only_the_window(self, monkeypatch):
-        p = SimParams(nx=300, ny=300, noise_amp=0.01, rng_seed=1)
-        self.assert_scans_only_the_window(monkeypatch, p, REACH)
-
-    def test_appendix_bug_step_reaches_one_cell_further(self, monkeypatch):
-        p = SimParams(nx=300, ny=300, noise_amp=0.01, rng_seed=1, replicate_appendix_bug=True)
-        self.assert_scans_only_the_window(monkeypatch, p, REACH + 1)
 
 
 class TestCarriedBox:
