@@ -99,8 +99,6 @@ def _radius_profile(phi: Field) -> np.ndarray:
     v = np.choose(quadrant, (dj, -di, -dj, di)).astype(float)
 
     profile = np.zeros(360)
-    if u.size == 0:
-        return profile
     radius = np.hypot(u * dx, v * dx)
     # folded cells have u >= 1, so all four corners stay in the open right
     # half-plane and corner angles span less than a half turn
@@ -172,15 +170,13 @@ def measure(state, p) -> DiagnosticsRecord:
     and may differ.
     """
     phi, temp = state.phi, state.temp
-    rows, cols = widen(state.box, phi.data.shape, REACH)
-    # an all-zero state gives the 1x1 window, and a Field needs 3 cells a side
-    window = slice(rows.start, max(rows.stop, 3)), slice(cols.start, max(cols.stop, 3))
+    window = widen(state.box, phi.data.shape, REACH)
     cut = replace(state, phi=Field(phi.data[window], phi.dx),
                   temp=Field(temp.data[window], temp.dx))
     m_field = Field(m_of_temperature(cut.temp.data, p), temp.dx)
     return DiagnosticsRecord(
         step=state.step,
-        time=state.time,
+        time=state.step * p.dt,
         solid_fraction=solid_fraction(phi),
         tip_px=tip_extent(phi, "+x"),
         tip_mx=tip_extent(phi, "-x"),

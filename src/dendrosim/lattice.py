@@ -109,9 +109,7 @@ def nonzero_box(a: np.ndarray, b: np.ndarray) -> Box | None:
 # window where the grid reads the next cell out.  Both hold +-0.0, but a
 # -0.0 can turn the angle of a zero gradient from 0 to pi and so change
 # eps^2 in the last bit; 3 cells out, that eps^2 meets only zero gradients
-# of phi.  The third cell also keeps the eps^2 neighbours of the window's
-# last cell constant, as at the grid's last cell, where
-# replicate_appendix_bug reads its stale scalars.
+# of phi.
 REACH = 3
 
 
@@ -120,11 +118,11 @@ def widen(box: Box | None, shape: tuple[int, int], reach: int) -> Box:
 
     An axis along which the widened box would wrap past the grid's edge gets
     its full extent, so the window never wraps, and when both axes are full
-    that is the whole grid.  No box (an all-zero grid) gives the 1x1 window
-    at the origin.
+    that is the whole grid.  No box (an all-zero grid) gives the 3x3 window
+    at the origin, the smallest a Field holds.
     """
     if box is None:
-        return slice(0, 1), slice(0, 1)
+        return slice(0, 3), slice(0, 3)
     return tuple(
         slice(0, n) if s.start < reach or s.stop > n - reach
         else slice(s.start - reach, s.stop + reach)

@@ -43,7 +43,9 @@ class RngStream:
 
 
 def interface_angle(gx, gy):
-    """Angle of the gradient vector over the full circle; (0, 0) maps to 0."""
+    """Angle of the gradient vector over the full circle, np.arctan2(gy, gx):
+    0 for a zero gradient, but +-pi when its x component is -0.0, which no
+    state from solver.initialize or solver.step holds."""
     return np.arctan2(gy, gx)
 
 

@@ -163,7 +163,7 @@ FIELD_TYPES = typing.get_type_hints(SimParams)
 
 @dataclass(frozen=True)
 class SimState:
-    """The phi and T fields after `step` steps, at `time`.
+    """The phi and T fields after `step` steps, at time step * dt.
 
     A state carries `box`, the box of its nonzero cells, and step and
     diagnostics.measure take their windows from it instead of scanning the
@@ -181,7 +181,6 @@ class SimState:
     phi: Field
     temp: Field
     step: int = 0
-    time: float = 0.0
 
     def __post_init__(self):
         self.phi.data.flags.writeable = False
@@ -262,8 +261,8 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
         T'    =  T + dt lap(T) + latent_heat * dphi
 
     With replicate_appendix_bug the eps^2 gradient degenerates to the two
-    scalars left over from the last raster cell, reproducing the circulated
-    reference code's stale-variable behavior.
+    scalars left over from the grid's last raster cell, reproducing the
+    circulated reference code's stale-variable behavior.
     """
     for name, f in (("phi", state.phi), ("temp", state.temp)):
         if f.data.shape != (p.nx, p.ny):
@@ -290,10 +289,15 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     qx = periodic_pad(flux * gx)
     qy = periodic_pad(flux * gy)
 
-    ge2x, ge2y = gradient_arrays(eps2, dx, p.divisor_mode)
     if p.replicate_appendix_bug:
-        # stale scalars from the last cell visited by the reference code
-        ge2x, ge2y = ge2x[-1, -1], ge2y[-1, -1]
+        # stale scalars from the grid's last cell, whatever the window: its
+        # eps^2 gradient reads phi at most 2 cells away, in this 5x5 block
+        block = state.phi.data[np.ix_(np.arange(-3, 2) % p.nx, np.arange(-3, 2) % p.ny)]
+        bx, by = gradient_arrays(block, dx, p.divisor_mode)
+        eps_b, _ = epsilon_of_theta(interface_angle(bx, by), p)
+        ge2x, ge2y = (g[2, 2] for g in gradient_arrays(eps_b * eps_b, dx, p.divisor_mode))
+    else:
+        ge2x, ge2y = gradient_arrays(eps2, dx, p.divisor_mode)
 
     chi = None
     if p.noise_amp > 0.0:
@@ -331,7 +335,6 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
         phi=Field(embed(phi_new, shape, window), dx),
         temp=Field(embed(temp_new, shape, window), dx),
         step=new_step,
-        time=new_step * p.dt,
     )
 
 

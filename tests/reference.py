@@ -123,10 +123,10 @@ def naive_nonzero_box(a, b):
 def naive_window(a, b, reach):
     """naive_nonzero_box widened by reach cells on each side; an axis whose
     widened span would leave the grid takes the whole axis, and no box gives
-    the 1x1 window at the origin."""
+    the 3x3 window at the origin."""
     box = naive_nonzero_box(a, b)
     if box is None:
-        return slice(0, 1), slice(0, 1)
+        return slice(0, 3), slice(0, 3)
     window = []
     for s, n in zip(box, a.shape):
         lo, hi = s.start - reach, s.stop + reach

@@ -400,7 +400,7 @@ def whole_grid_record(state, p):
     m = Field(m_of_temperature(state.temp.data, p), state.temp.dx)
     return DiagnosticsRecord(
         step=state.step,
-        time=state.time,
+        time=state.step * p.dt,
         solid_fraction=solid_fraction(phi),
         tip_px=tip_extent(phi, "+x"),
         tip_mx=tip_extent(phi, "-x"),
@@ -473,7 +473,7 @@ class TestWindowedMeasure:
         p = SimParams(nx=shape[0], ny=shape[1], seed_radius_sq=0.0)
         zeros = Field.zeros(*shape, p.dx)
         st = SimState(phi=zeros, temp=zeros)
-        assert widen(nonzero_box(zeros.data, zeros.data), shape, REACH) == (slice(0, 1), slice(0, 1))
+        assert widen(nonzero_box(zeros.data, zeros.data), shape, REACH) == (slice(0, 3), slice(0, 3))
         assert measure(st, p).free_energy == 0.0
         assert_same_record(st, p)
 
@@ -498,4 +498,4 @@ class TestWindowedMeasure:
             i, j = rng.integers(0, nx), rng.integers(0, ny)
             a[i:i + rng.integers(1, 6), j:j + rng.integers(1, 6)] = scale * rng.random()
             fields.append(Field(a, p.dx))
-        assert_same_record(SimState(phi=fields[0], temp=fields[1], step=3, time=3e-4), p)
+        assert_same_record(SimState(phi=fields[0], temp=fields[1], step=3), p)

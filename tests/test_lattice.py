@@ -96,8 +96,8 @@ class TestSupportWindow:
     def widened(self, a, b, reach):
         return widen(nonzero_box(a, b), self.SHAPE, reach)
 
-    def test_all_zero_pair_is_one_cell_at_origin(self):
-        assert self.window() == (slice(0, 1), slice(0, 1))
+    def test_all_zero_pair_is_three_by_three_at_origin(self):
+        assert self.window() == (slice(0, 3), slice(0, 3))
 
     def test_centred_blob_widened_by_reach(self):
         assert self.window([(9, 14), (10, 16)]) == (slice(6, 14), slice(11, 20))
@@ -128,7 +128,7 @@ class TestSupportWindow:
         assert self.window([(0, 0), (19, 29), (0, 29), (19, 0)]) == (slice(0, 20), slice(0, 30))
 
     def test_negative_zero_counts_as_zero(self):
-        assert self.window(fill=-0.0) == (slice(0, 1), slice(0, 1))
+        assert self.window(fill=-0.0) == (slice(0, 3), slice(0, 3))
         assert self.window([(9, 14)], fill=-0.0) == (slice(6, 13), slice(11, 18))
 
     def test_nan_counts_as_nonzero(self):

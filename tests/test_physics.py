@@ -70,6 +70,12 @@ class TestInterfaceAngle:
     def test_zero_gradient_maps_to_zero(self):
         assert interface_angle(0.0, 0.0) == 0.0
 
+    def test_negative_zero_x_component_maps_to_plus_or_minus_pi(self):
+        assert interface_angle(0.0, -0.0) == 0.0
+        assert interface_angle(-0.0, 0.0) == math.pi
+        assert interface_angle(-0.0, -0.0) == -math.pi
+        assert interface_angle(-0.0, 1.0) == pytest.approx(math.pi / 2, abs=0)
+
     def test_equivalent_to_branchy_form_mod_two_pi(self):
         rng = np.random.default_rng(23)
         cases = [(float(gx), float(gy)) for gx, gy in rng.normal(size=(200, 2))]

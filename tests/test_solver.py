@@ -53,7 +53,6 @@ def uniform_state(nx, ny, dx, phi_value, temp_value):
         phi=Field(np.full((nx, ny), float(phi_value)), dx),
         temp=Field(np.full((nx, ny), float(temp_value)), dx),
         step=0,
-        time=0.0,
     )
 
 
@@ -161,9 +160,9 @@ class TestInitialize:
         assert st.phi.data[17, 16] == 1.0 and st.phi.data[16, 17] == 1.0
         assert st.phi.data[17, 17] == 0.0
 
-    def test_step_and_time_start_at_zero(self):
+    def test_step_starts_at_zero(self):
         st = initialize(small_params())
-        assert (st.step, st.time) == (0, 0.0)
+        assert st.step == 0
 
 
 def seeded_state(p, layout):
@@ -216,7 +215,7 @@ class TestStepAgainstOracle:
         scale = max(np.max(np.abs(expected_phi)), np.max(np.abs(expected_temp)))
         assert np.max(np.abs(out.phi.data - expected_phi)) <= 1e-13 * scale
         assert np.max(np.abs(out.temp.data - expected_temp)) <= 1e-13 * scale
-        assert (out.step, out.time) == (1, dt)
+        assert out.step == 1
         # no two states share a buffer
         assert not np.shares_memory(out.temp.data, st.temp.data)
 
@@ -384,6 +383,49 @@ class TestStepAgainstRollStep:
             assert areas[0] < nx * ny / 2 and areas[-1] == nx * ny
 
 
+class TestAppendixBugScalars:
+    """replicate_appendix_bug takes its stale eps^2 gradient at the grid's
+    last cell (nx-1, ny-1), as the whole-grid update does, whatever the
+    window.  There a signed zero in phi sets the angle of a zero gradient
+    (0 or pi), and so eps^2, in the last bit."""
+
+    @pytest.mark.parametrize("j_mode, theta0", [(6, 0.3), (4, 0.7), (6, 0.7), (4, 1.2)])
+    def test_negative_zero_beside_the_last_cell(self, j_mode, theta0):
+        p = SimParams(nx=40, ny=47, j_mode=j_mode, theta0=theta0, delta=0.05,
+                      seed_radius_sq=4.0, replicate_appendix_bug=True)
+        st = initialize(p)
+        phi = st.phi.data.copy()
+        phi[1, 46] = -0.0
+        out = step(SimState(phi=Field(phi, p.dx), temp=st.temp), p)
+        want_phi, want_temp = R.roll_step(phi, st.temp.data, p, p.dx, p.dt, replicate_bug=True)
+        assert out.phi.data.tobytes() == want_phi.tobytes()
+        assert out.temp.data.tobytes() == want_temp.tobytes()
+
+    @pytest.mark.parametrize("j_mode", [4, 6])
+    @pytest.mark.parametrize("paper_div", [True, False])
+    def test_random_signed_zeros_around_the_last_cell(self, j_mode, paper_div):
+        rng = np.random.default_rng([j_mode, paper_div])
+        nx, ny = 40, 47
+        corner = np.ix_(np.arange(-3, 2) % nx, np.arange(-3, 2) % ny)
+        for _ in range(70):
+            p = SimParams(nx=nx, ny=ny, j_mode=j_mode, theta0=float(rng.uniform(0.0, 2 * math.pi)),
+                          delta=0.05, seed_radius_sq=4.0,
+                          divisor_mode=PAPER_CODE if paper_div else CENTERED,
+                          replicate_appendix_bug=True)
+            st = initialize(p)
+            phi, temp = st.phi.data.copy(), st.temp.data.copy()
+            for a in (phi, temp):
+                a[corner] = np.where(rng.random((5, 5)) < 0.5, -0.0, 0.0)
+            st = SimState(phi=Field(phi, p.dx), temp=Field(temp, p.dx))
+            for _ in range(3):
+                assert widen(st.box, (nx, ny), REACH) != (slice(0, nx), slice(0, ny))
+                st = step(st, p)
+                phi, temp = R.roll_step(phi, temp, p, p.dx, p.dt, paper_divisor=paper_div,
+                                        replicate_bug=True)
+                assert st.phi.data.tobytes() == phi.tobytes()
+                assert st.temp.data.tobytes() == temp.tobytes()
+
+
 class TestMemory:
     def test_noisy_step_of_a_growing_crystal_peaks_below_three_grid_arrays(self):
         # 12 steps into a noisy 300x300 run: the window's work and noise
@@ -483,7 +525,7 @@ class TestCarriedBox:
 
     def test_fields_cannot_be_assigned(self):
         st = initialize(small_params())
-        for name in ("phi", "temp", "step", "time", "box"):
+        for name in ("phi", "temp", "step", "box"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(st, name, getattr(st, name))
 
@@ -625,6 +667,22 @@ class TestRunLifecycle:
         run(p, on_snapshot=snaps.append, on_diagnostics=recs.append)
         assert [s.step for s in snaps] == [0, 3, 6]
         assert [r.step for r in recs] == [0, 3, 6]
+
+    def test_record_time_is_step_times_dt(self):
+        p = small_params(total_steps=7, diagnostics_every=2, dt=7e-5)
+        _, records = run(p)
+        assert [r.step for r in records] == [0, 2, 4, 6, 7]
+        assert [r.time for r in records] == [r.step * p.dt for r in records]
+
+    def test_states_hold_no_negative_zero(self):
+        # so a zero gradient always has the angle 0 (physics.interface_angle)
+        p = small_params(noise_amp=0.01, total_steps=40, snapshot_every=1)
+        snaps = []
+        run(p, on_snapshot=snaps.append)
+        assert len(snaps) == 41
+        for st in snaps:
+            for a in (st.phi.data, st.temp.data):
+                assert not np.signbit(a[a == 0.0]).any()
 
     def test_two_runs_are_bitwise_identical(self):
         p = small_params(noise_amp=0.01, total_steps=30)
