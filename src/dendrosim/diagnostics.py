@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import CENTERED, REACH, Field, gradient_arrays, lattice_sum, widen
+from .lattice import CENTERED, REACH, Field, gradient_arrays, halo, lattice_sum, widen
 from .physics import (
     anisotropy_phase,
     double_well,
@@ -145,12 +145,12 @@ def free_energy(phi: Field, m_field: Field, p) -> float:
     """Discrete free energy: sum of the well density plus (eps^2/2)|grad phi|^2,
     with eps from the model fields of p (a SimParams).
 
-    Always uses centered-mode gradients regardless of the solver's divisor
-    mode, so the diagnostic is comparable across configurations.
+    The gradients are periodic and centered-mode whatever the solver's
+    divisor mode, so the diagnostic is comparable across configurations.
     """
     if (phi.nx, phi.ny) != (m_field.nx, m_field.ny):
         raise ValueError("phi and m fields must have identical extents")
-    gx, gy = gradient_arrays(phi.data, phi.dx, CENTERED)
+    gx, gy = gradient_arrays(halo(phi.data, np.s_[:, :], 1), phi.dx, CENTERED)
     eps = epsilon_of_phase(anisotropy_phase(interface_angle(gx, gy), p), p)
     density = double_well(phi.data, m_field.data) + 0.5 * eps * eps * (gx * gx + gy * gy)
     return lattice_sum(Field(density, phi.dx))

@@ -1,7 +1,7 @@
 """Periodic 2D scalar fields and the discrete stencil operators built on them.
 
 Fields are stored as C-contiguous float64 arrays of shape (nx, ny): the first
-index is x, the second (fast) index is y.  All operators wrap periodically.
+index is x, the second (fast) index is y.  Stencils run in valid mode on a `halo`.
 """
 
 from __future__ import annotations
@@ -61,19 +61,25 @@ def divisors(dx: float, mode: str) -> float:
     raise ValueError(f"unknown divisor_mode {mode!r}, expected one of {DIVISOR_MODES}")
 
 
-def periodic_pad(a: np.ndarray) -> np.ndarray:
-    """(nx+2, ny+2) copy of `a` with a one-cell periodic border.
+def halo(a: np.ndarray, window: tuple[slice, slice], k: int) -> np.ndarray:
+    """Copy of `a[window]` with `k` rings of its grid neighbours, built from
+    slice copies (cheaper than np.pad, and far cheaper than fancy indexing).
+    The rings wrap only on an axis the window spans, so the whole grid is
+    the case where they wrap on both; on another axis they must lie in the
+    grid (`widen` sees to that), or it is a ValueError."""
+    def pieces(s, n):
+        lo, hi, _ = s.indices(n)
+        if hi - lo == n:  # (start, stop, start in the copy): the last k, all, the first k
+            return (n - k, n, 0), (0, n, k), (0, k, n + k)
+        if lo < k or hi + k > n:
+            raise ValueError(f"a halo of {k} around cells {lo}:{hi} leaves an axis of {n}")
+        return ((lo - k, hi + k, 0),)
 
-    Cell (i, j) of `a` is cell (i+1, j+1) of the copy, so the neighbour at
-    (i+di, j+dj) of every cell is the slice view [1+di : nx+1+di, 1+dj : ny+1+dj].
-    """
-    nx, ny = a.shape
-    out = np.empty((nx + 2, ny + 2), dtype=a.dtype)
-    out[1:-1, 1:-1] = a
-    out[0, 1:-1] = a[-1]
-    out[-1, 1:-1] = a[0]
-    out[:, 0] = out[:, -2]
-    out[:, -1] = out[:, 1]
+    rows, cols = (pieces(s, n) for s, n in zip(window, a.shape))
+    out = np.empty([len(range(*s.indices(n))) + 2 * k for s, n in zip(window, a.shape)])
+    for r0, r1, i in rows:
+        for c0, c1, j in cols:
+            out[i:i + r1 - r0, j:j + c1 - c0] = a[r0:r1, c0:c1]
     return out
 
 
@@ -101,32 +107,26 @@ def nonzero_box(a: np.ndarray, b: np.ndarray) -> Box | None:
     return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
-# How far past the box of the nonzero phi and T cells a window reaches for
-# the work on it to give the whole grid's bits.  A new value depends on cells
-# at most 2 away (stencils of stencils), so every cell further out holds
-# +-0.0 with zero gradients and updates to +0.0.  The third cell is for the
-# wrap at the window's edge: there a stencil reads the far side of the
-# window where the grid reads the next cell out.  Both hold +-0.0, but a
-# -0.0 can turn the angle of a zero gradient from 0 to pi and so change
-# eps^2 in the last bit; 3 cells out, that eps^2 meets only zero gradients
-# of phi.
-REACH = 3
+# How far past the box of the nonzero phi and T cells a window reaches, and
+# the width of its halo of phi: a new value reads cells at most 2 away (a
+# stencil of a stencil), so every cell further out updates to +0.0.
+REACH = 2
 
 
 def widen(box: Box | None, shape: tuple[int, int], reach: int) -> Box:
     """`box` widened by `reach` cells on each side, within a grid of `shape`.
 
-    An axis along which the widened box would wrap past the grid's edge gets
-    its full extent, so the window never wraps, and when both axes are full
-    that is the whole grid.  No box (an all-zero grid) gives the 3x3 window
-    at the origin, the smallest a Field holds.
+    An axis where the widened box, with a halo of `reach` more cells on each
+    side, would pass the grid's edge gets its full extent instead.  So a
+    halo wraps only on an axis its window spans, and when both axes are full
+    the window is the whole grid.  No box (an all-zero grid) gives a window
+    of 3 cells, the least a Field holds, `reach` cells from the origin.
     """
-    if box is None:
-        return slice(0, 3), slice(0, 3)
+    spans = ([(reach, reach + 3)] * 2 if box is None
+             else [(s.start - reach, s.stop + reach) for s in box])
     return tuple(
-        slice(0, n) if s.start < reach or s.stop > n - reach
-        else slice(s.start - reach, s.stop + reach)
-        for s, n in zip(box, shape)
+        slice(lo, hi) if lo >= reach and hi <= n - reach else slice(0, n)
+        for (lo, hi), n in zip(spans, shape)
     )
 
 
@@ -139,24 +139,23 @@ def embed(a: np.ndarray, shape: tuple[int, int], window: tuple[slice, slice]) ->
     return out
 
 
-def gradient_arrays(a: np.ndarray, dx: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic central differences (df/dx, df/dy) on a raw array; see
-    `divisors` for the two modes."""
+def gradient_arrays(h: np.ndarray, dx: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences (df/dx, df/dy) in valid mode, on `h` less its outer
+    ring; see `divisors` for the two modes."""
     div = divisors(dx, mode)
-    h = periodic_pad(a)
     gx = (h[2:, 1:-1] - h[:-2, 1:-1]) / div
     gy = (h[1:-1, 2:] - h[1:-1, :-2]) / div
     return gx, gy
 
 
-def laplacian9_arrays(a: np.ndarray, dx: float) -> np.ndarray:
-    """Nine-point Laplacian [edges 2, diagonals 1, center -12] / (3 dx^2).
+def laplacian9_arrays(h: np.ndarray, dx: float) -> np.ndarray:
+    """Nine-point Laplacian [edges 2, diagonals 1, center -12] / (3 dx^2), in
+    valid mode as gradient_arrays.
 
     Neighbor contributions are accumulated in opposite-pair order, which
     keeps the stencil bitwise equivariant under the square's symmetries (pair
     sums only swap or commute under D4).
     """
-    h = periodic_pad(a)
     xp = h[2:, 1:-1]
     xm = h[:-2, 1:-1]
     yp = h[1:-1, 2:]
@@ -165,7 +164,8 @@ def laplacian9_arrays(a: np.ndarray, dx: float) -> np.ndarray:
     mm = h[:-2, :-2]
     pm = h[2:, :-2]
     mp = h[:-2, 2:]
-    return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * a) / (3.0 * dx * dx)
+    c = h[1:-1, 1:-1]
+    return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * c) / (3.0 * dx * dx)
 
 
 def lattice_sum(f: Field) -> float:

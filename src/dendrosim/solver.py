@@ -22,9 +22,9 @@ from .lattice import (
     divisors,
     embed,
     gradient_arrays,
+    halo,
     laplacian9_arrays,
     nonzero_box,
-    periodic_pad,
     widen,
 )
 from . import diagnostics
@@ -169,7 +169,7 @@ class SimState:
     diagnostics.measure take their windows from it instead of scanning the
     grid.  initialize records the seed's box and step the box of its
     result, found on the window it has just updated.  That saving is in the
-    growth phase only: once the window spans the grid (step 144 of the desk
+    growth phase only: once the window spans the grid (step 143 of the desk
     preset), a step costs what it did with a scan.
     A state is immutable, so its fields can never change under its box:
     assigning one raises FrozenInstanceError, and a changed copy is made
@@ -206,15 +206,14 @@ def stability_check(p: SimParams) -> tuple[bool, float, float]:
     """Explicit-Euler step limits for the thermal and phase equations.
 
     The nine-point stencil's most negative eigenvalue is -16 / (3 dx^2), giving
-    dt <= 3 dx^2 / 8 for the heat equation and the same bound scaled by
-    tau / eps_max^2 for the phase equation.
+    dt <= 3 dx^2 / 8 for the heat equation.  The phase equation's linear part
+    adds to eps_max^2 times that eigenvalue the reaction's steepest slope,
+    -(1 + alpha) / 2 at a bulk state (|m| < alpha / 2), over tau.
     """
     dt_thermal = 3.0 * p.dx * p.dx / 8.0
     eps_max = p.eps_bar * (1.0 + p.delta)
-    if eps_max > 0.0:
-        dt_phase = dt_thermal * p.tau / (eps_max * eps_max)
-    else:
-        dt_phase = math.inf
+    rate = 16.0 * eps_max * eps_max / (3.0 * p.dx * p.dx) + (1.0 + p.alpha) / 2.0
+    dt_phase = 2.0 * p.tau / rate
     ok = p.dt <= min(dt_thermal, dt_phase)
     return ok, dt_thermal, dt_phase
 
@@ -246,11 +245,11 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     nonzero cells come within reach of an edge the window spans that axis
     (lattice.widen), and the whole grid is the widest window.
 
-    Pass 1 (over the window): gradients and Laplacians of phi, Laplacian of
-    T, the interface angle, eps/eps' fields, the flux product
-    eps*eps'*grad(phi) as periodic ghost-cell copies (see
-    lattice.periodic_pad) whose neighbours are slice views, the gradient of
-    eps^2, and the noise field.
+    Pass 1 copies the window of phi and T once each with a halo of their
+    grid neighbours (lattice.halo), 2 rings and 1, and runs every stencil in
+    valid mode on slice views: grad(phi), the angle, eps, eps' and the flux
+    product eps*eps'*grad(phi) on the window plus one ring; the Laplacians,
+    grad(eps^2), the flux differences and the noise field on the window.
     Pass 2 is purely elementwise on those arrays:
 
         term1 =  d/dy [eps eps' dphi/dx]
@@ -274,20 +273,18 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     dx = p.dx
     shape = state.phi.data.shape
     window = widen(state.box, shape, REACH)
-    # contiguous, so the ufuncs below run the same loops as on the whole grid
-    phi = np.ascontiguousarray(state.phi.data[window])
-    temp = np.ascontiguousarray(state.temp.data[window])
+    phi, temp = state.phi.data[window], state.temp.data[window]
+    phi_h = halo(state.phi.data, window, 2)
+    gx, gy = gradient_arrays(phi_h, dx, p.divisor_mode)
+    lap_phi = laplacian9_arrays(phi_h[1:-1, 1:-1], dx)
+    del phi_h  # freed before the anisotropy's arrays are made: fewer page faults
+    lap_t = laplacian9_arrays(halo(state.temp.data, window, 1), dx)
 
-    gx, gy = gradient_arrays(phi, dx, p.divisor_mode)
-    lap_phi = laplacian9_arrays(phi, dx)
-    lap_t = laplacian9_arrays(temp, dx)
-
-    theta = interface_angle(gx, gy)
-    eps, eps_prime = epsilon_of_theta(theta, p)
+    eps, eps_prime = epsilon_of_theta(interface_angle(gx, gy), p)
     eps2 = eps * eps
     flux = eps * eps_prime
-    qx = periodic_pad(flux * gx)
-    qy = periodic_pad(flux * gy)
+    qx = flux * gx
+    qy = flux * gy
 
     if p.replicate_appendix_bug:
         # stale scalars from the grid's last cell, whatever the window: its
@@ -295,7 +292,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
         block = state.phi.data[np.ix_(np.arange(-3, 2) % p.nx, np.arange(-3, 2) % p.ny)]
         bx, by = gradient_arrays(block, dx, p.divisor_mode)
         eps_b, _ = epsilon_of_theta(interface_angle(bx, by), p)
-        ge2x, ge2y = (g[2, 2] for g in gradient_arrays(eps_b * eps_b, dx, p.divisor_mode))
+        ge2x, ge2y = (g[0, 0] for g in gradient_arrays(eps_b * eps_b, dx, p.divisor_mode))
     else:
         ge2x, ge2y = gradient_arrays(eps2, dx, p.divisor_mode)
 
@@ -311,6 +308,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     dt_over_tau = p.dt / p.tau
     term1 = (qx[1:-1, 2:] - qx[1:-1, :-2]) / div
     term2 = -(qy[2:, 1:-1] - qy[:-2, 1:-1]) / div
+    gx, gy, eps2 = gx[1:-1, 1:-1], gy[1:-1, 1:-1], eps2[1:-1, 1:-1]
     term3 = ge2x * gx + ge2y * gy
     m = m_of_temperature(temp, p)
     rhs = (term1 + term2) + term3 + (eps2 * lap_phi + reaction_term(phi, m))

@@ -122,15 +122,17 @@ def naive_nonzero_box(a, b):
 
 def naive_window(a, b, reach):
     """naive_nonzero_box widened by reach cells on each side; an axis whose
-    widened span would leave the grid takes the whole axis, and no box gives
-    the 3x3 window at the origin."""
+    widened span, with reach more halo cells on each side, would leave the
+    grid takes the whole axis, and no box gives the 3-cell span that starts
+    reach cells from the origin on each axis."""
     box = naive_nonzero_box(a, b)
-    if box is None:
-        return slice(0, 3), slice(0, 3)
     window = []
-    for s, n in zip(box, a.shape):
-        lo, hi = s.start - reach, s.stop + reach
-        window.append(slice(0, n) if lo < 0 or hi > n else slice(lo, hi))
+    for axis, n in enumerate(a.shape):
+        if box is None:
+            lo, hi = reach, reach + 3
+        else:
+            lo, hi = box[axis].start - reach, box[axis].stop + reach
+        window.append(slice(0, n) if lo - reach < 0 or hi + reach > n else slice(lo, hi))
     return tuple(window)
 
 

@@ -468,12 +468,18 @@ class TestWindowedMeasure:
         assert np.isnan(rec.conservation_sum) and np.isnan(rec.free_energy)
         assert_same_record(st, p)
 
-    @pytest.mark.parametrize("shape", [(3, 3), (3, 7), (16, 16)])
-    def test_all_zero_state(self, shape):
+    @pytest.mark.parametrize("shape, window", [
+        ((3, 3), (slice(0, 3), slice(0, 3))),
+        ((3, 7), (slice(0, 3), slice(2, 5))),
+        ((16, 16), (slice(2, 5), slice(2, 5))),
+    ])
+    def test_all_zero_state(self, shape, window):
+        # a 3-cell span REACH cells in, or the whole axis where its halo
+        # would not fit
         p = SimParams(nx=shape[0], ny=shape[1], seed_radius_sq=0.0)
         zeros = Field.zeros(*shape, p.dx)
         st = SimState(phi=zeros, temp=zeros)
-        assert widen(nonzero_box(zeros.data, zeros.data), shape, REACH) == (slice(0, 3), slice(0, 3))
+        assert widen(nonzero_box(zeros.data, zeros.data), shape, REACH) == window
         assert measure(st, p).free_energy == 0.0
         assert_same_record(st, p)
 

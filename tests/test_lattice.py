@@ -15,11 +15,18 @@ from dendrosim.lattice import (
     embed,
     gradient_arrays,
     laplacian9_arrays,
+    REACH,
+    halo,
     lattice_sum,
     nonzero_box,
-    periodic_pad,
     widen,
 )
+
+
+def wrapped(a):
+    """`a` with one periodic ring, the input a valid-mode stencil needs for
+    the periodic result on all of `a`."""
+    return np.pad(a, 1, mode="wrap")
 
 
 def random_field(nx, ny, dx=0.03, seed=0):
@@ -74,11 +81,44 @@ class TestField:
         assert not f.data.any()
 
 
-class TestWrapAndShift:
-    @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3)])
-    def test_periodic_pad_wraps_every_border_cell(self, shape):
+class TestHalo:
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3), (9, 11)])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_whole_grid_window_wraps_like_np_pad(self, shape, k):
         a = np.random.default_rng(31).normal(size=shape)
-        np.testing.assert_array_equal(periodic_pad(a), np.pad(a, 1, mode="wrap"))
+        want = np.pad(a, k, mode="wrap")
+        for window in (np.s_[:, :], (slice(0, shape[0]), slice(0, shape[1]))):
+            got = halo(a, window, k)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_interior_window_is_the_plain_grid_slice(self, k):
+        a = np.random.default_rng(32).normal(size=(12, 15))
+        for rows, cols in [((2, 10), (2, 13)), ((3, 4), (5, 6)), ((k, 12 - k), (k, 15 - k))]:
+            got = halo(a, (slice(*rows), slice(*cols)), k)
+            want = a[rows[0] - k:rows[1] + k, cols[0] - k:cols[1] + k]
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mixed_axes_wrap_only_the_spanned_one(self, k):
+        a = np.random.default_rng(33).normal(size=(10, 13))
+        got = halo(a, (slice(0, 10), slice(4, 9)), k)
+        want = np.pad(a, ((k, k), (0, 0)), mode="wrap")[:, 4 - k:9 + k]
+        assert got.tobytes() == want.tobytes()
+        got = halo(a, (slice(3, 6), slice(0, 13)), k)
+        want = np.pad(a, ((0, 0), (k, k)), mode="wrap")[3 - k:6 + k]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("window", [np.s_[1:9, :], np.s_[:, 2:12], np.s_[0:3, 4:6],
+                                        np.s_[4:6, 11:13]])
+    def test_rings_past_the_edge_of_an_unspanned_axis_are_an_error(self, window):
+        with pytest.raises(ValueError, match="halo of 2"):
+            halo(np.zeros((10, 13)), window, 2)
+
+    def test_signed_zeros_and_nan_are_copied_bit_for_bit(self):
+        a = np.where(np.random.default_rng(34).random((6, 7)) < 0.5, -0.0, 0.0)
+        a[2, 3] = np.nan
+        assert halo(a, np.s_[:, :], 2).tobytes() == np.pad(a, 2, mode="wrap").tobytes()
 
 
 class TestSupportWindow:
@@ -91,27 +131,36 @@ class TestSupportWindow:
             a[i, j] = 1.0
         for i, j in b_cells:
             b[i, j] = -2.5
-        return self.widened(a, b, 3)
+        return self.widened(a, b, REACH)
 
     def widened(self, a, b, reach):
         return widen(nonzero_box(a, b), self.SHAPE, reach)
 
-    def test_all_zero_pair_is_three_by_three_at_origin(self):
-        assert self.window() == (slice(0, 3), slice(0, 3))
+    def test_all_zero_pair_is_three_by_three_reach_from_the_origin(self):
+        assert self.window() == (slice(2, 5), slice(2, 5))
+
+    @pytest.mark.parametrize("shape, expected", [
+        ((3, 3), (slice(0, 3), slice(0, 3))),
+        ((6, 7), (slice(0, 6), slice(2, 5))),
+        ((7, 6), (slice(2, 5), slice(0, 6))),
+    ])
+    def test_all_zero_pair_spans_an_axis_too_short_for_its_halo(self, shape, expected):
+        zeros = np.zeros(shape)
+        assert widen(nonzero_box(zeros, zeros), shape, REACH) == expected
 
     def test_centred_blob_widened_by_reach(self):
-        assert self.window([(9, 14), (10, 16)]) == (slice(6, 14), slice(11, 20))
+        assert self.window([(9, 14), (10, 16)]) == (slice(7, 13), slice(12, 19))
 
     def test_cells_of_both_arrays_count(self):
-        assert self.window([(9, 14)], [(12, 20)]) == (slice(6, 16), slice(11, 24))
+        assert self.window([(9, 14)], [(12, 20)]) == (slice(7, 15), slice(12, 23))
 
     @pytest.mark.parametrize(
         "cell, expected",
         [
-            ((2, 14), (slice(0, 20), slice(11, 18))),
-            ((17, 14), (slice(0, 20), slice(11, 18))),
-            ((9, 2), (slice(6, 13), slice(0, 30))),
-            ((9, 27), (slice(6, 13), slice(0, 30))),
+            ((3, 14), (slice(0, 20), slice(12, 17))),
+            ((16, 14), (slice(0, 20), slice(12, 17))),
+            ((9, 3), (slice(7, 12), slice(0, 30))),
+            ((9, 26), (slice(7, 12), slice(0, 30))),
         ],
         ids=["top", "bottom", "left", "right"],
     )
@@ -120,23 +169,24 @@ class TestSupportWindow:
         assert self.window([], [cell]) == expected
 
     def test_blob_just_outside_the_frame_keeps_a_window(self):
-        assert self.window([(3, 3), (16, 26)]) == (slice(0, 20), slice(0, 30))
-        assert self.window([(3, 3)]) == (slice(0, 7), slice(0, 7))
-        assert self.window([(16, 26)]) == (slice(13, 20), slice(23, 30))
+        # 4 cells from an edge: the window's halo of phi ends on the edge
+        assert self.window([(4, 4), (15, 25)]) == (slice(2, 18), slice(2, 28))
+        assert self.window([(4, 4)]) == (slice(2, 7), slice(2, 7))
+        assert self.window([(15, 25)]) == (slice(13, 18), slice(23, 28))
 
     def test_blob_straddling_the_wrap_takes_the_whole_grid(self):
         assert self.window([(0, 0), (19, 29), (0, 29), (19, 0)]) == (slice(0, 20), slice(0, 30))
 
     def test_negative_zero_counts_as_zero(self):
-        assert self.window(fill=-0.0) == (slice(0, 3), slice(0, 3))
-        assert self.window([(9, 14)], fill=-0.0) == (slice(6, 13), slice(11, 18))
+        assert self.window(fill=-0.0) == (slice(2, 5), slice(2, 5))
+        assert self.window([(9, 14)], fill=-0.0) == (slice(7, 12), slice(12, 17))
 
     def test_nan_counts_as_nonzero(self):
         a = np.zeros(self.SHAPE)
         a[9, 14] = np.nan
-        assert self.widened(a, np.zeros(self.SHAPE), 3) == (slice(6, 13), slice(11, 18))
+        assert self.widened(a, np.zeros(self.SHAPE), REACH) == (slice(7, 12), slice(12, 17))
         a[0, 14] = np.nan
-        assert self.widened(np.zeros(self.SHAPE), a, 3) == (slice(0, 20), slice(11, 18))
+        assert self.widened(np.zeros(self.SHAPE), a, REACH) == (slice(0, 20), slice(12, 17))
 
     def test_reach_zero_is_the_box_itself(self):
         a = np.zeros(self.SHAPE)
@@ -192,15 +242,16 @@ class TestGradient:
             assert not gx.any()
             assert not gy.any()
 
-    def test_linear_field_interior_slopes(self):
-        # dx = 0.25 keeps every product and difference exact in binary
+    def test_linear_field_slopes_in_valid_mode(self):
+        # dx = 0.25 keeps every product and difference exact in binary; the
+        # result covers the cells with both neighbours, so no wrap enters
         dx = 0.25
         x = np.arange(9)[:, None] * dx * np.ones((1, 5))
         gx_p, gy_p = gradient_arrays(x, dx, PAPER_CODE)
         gx_c, gy_c = gradient_arrays(x, dx, CENTERED)
-        interior = slice(1, -1)
-        assert (gx_p[interior, :] == 2.0).all()
-        assert (gx_c[interior, :] == 1.0).all()
+        assert gx_p.shape == gy_c.shape == (7, 3)
+        assert (gx_p == 2.0).all()
+        assert (gx_c == 1.0).all()
         assert not gy_p.any()
         assert not gy_c.any()
 
@@ -208,7 +259,7 @@ class TestGradient:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(7, 9))
         for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
-            gx, gy = gradient_arrays(a, 0.03, mode)
+            gx, gy = gradient_arrays(wrapped(a), 0.03, mode)
             ox, oy = R.naive_gradient(a, 0.03, 0.03, paper)
             np.testing.assert_array_equal(gx, ox)
             np.testing.assert_array_equal(gy, oy)
@@ -217,17 +268,30 @@ class TestGradient:
     def test_matches_roll_formulas_bitwise(self, shape):
         a = np.random.default_rng(37).normal(size=shape)
         for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
-            gx, gy = gradient_arrays(a, 0.03, mode)
+            gx, gy = gradient_arrays(wrapped(a), 0.03, mode)
             rx, ry = R.roll_gradient(a, 0.03, 0.03, paper)
             np.testing.assert_array_equal(gx, rx)
             np.testing.assert_array_equal(gy, ry)
 
     def test_translation_equivariance_bitwise(self):
         a = np.random.default_rng(5).normal(size=(8, 8))
-        gx, gy = gradient_arrays(a, 0.03, PAPER_CODE)
-        sx, sy = gradient_arrays(np.roll(a, (2, -3), axis=(0, 1)), 0.03, PAPER_CODE)
+        gx, gy = gradient_arrays(wrapped(a), 0.03, PAPER_CODE)
+        sx, sy = gradient_arrays(wrapped(np.roll(a, (2, -3), axis=(0, 1))), 0.03, PAPER_CODE)
         np.testing.assert_array_equal(sx, np.roll(gx, (2, -3), axis=(0, 1)))
         np.testing.assert_array_equal(sy, np.roll(gy, (2, -3), axis=(0, 1)))
+
+
+class TestValidMode:
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 8), (9, 4)])
+    def test_result_is_one_ring_smaller_and_reads_only_its_input(self, shape):
+        # the valid-mode result on `a` is the periodic one on its inner cells
+        a = np.random.default_rng(47).normal(size=shape)
+        inner = np.s_[1:-1, 1:-1]
+        for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
+            for got, want in zip(gradient_arrays(a, 0.03, mode),
+                                 R.roll_gradient(a, 0.03, 0.03, paper)):
+                assert got.tobytes() == want[inner].tobytes()
+        assert laplacian9_arrays(a, 0.03).tobytes() == R.roll_laplacian9(a, 0.03)[inner].tobytes()
 
 
 class TestLaplacian:
@@ -237,7 +301,7 @@ class TestLaplacian:
     def test_unit_spike_stencil_weights(self):
         a = np.zeros((7, 7))
         a[3, 3] = 1.0
-        lap = laplacian9_arrays(a, 1.0)
+        lap = laplacian9_arrays(wrapped(a), 1.0)
         assert lap[3, 3] == -4.0
         for i, j in [(2, 3), (4, 3), (3, 2), (3, 4)]:
             assert lap[i, j] == 2.0 / 3.0
@@ -251,7 +315,7 @@ class TestLaplacian:
         n, dx, k = 32, 0.03, 3
         x = 2.0 * np.pi * k * np.arange(n) / n
         f = np.sin(x)[:, None] * np.ones((1, n))
-        lap = laplacian9_arrays(f, dx)
+        lap = laplacian9_arrays(wrapped(f), dx)
         X, Y = 2.0 * np.pi * k / n, 0.0
         lam = (2.0 * (2.0 * np.cos(X) + 2.0 * np.cos(Y))
                + 2.0 * np.cos(X + Y) + 2.0 * np.cos(X - Y) - 12.0) / (3.0 * dx * dx)
@@ -259,34 +323,35 @@ class TestLaplacian:
 
     def test_matches_loop_oracle(self):
         a = np.random.default_rng(7).normal(size=(9, 6))
-        lap = laplacian9_arrays(a, 0.03)
+        lap = laplacian9_arrays(wrapped(a), 0.03)
         np.testing.assert_allclose(lap, R.naive_laplacian9(a, 0.03), rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3)])
     def test_matches_roll_formulas_bitwise(self, shape):
         a = np.random.default_rng(41).normal(size=shape)
-        np.testing.assert_array_equal(laplacian9_arrays(a, 0.03), R.roll_laplacian9(a, 0.03))
+        np.testing.assert_array_equal(laplacian9_arrays(wrapped(a), 0.03),
+                                      R.roll_laplacian9(a, 0.03))
 
     def test_translation_equivariance_bitwise(self):
         a = np.random.default_rng(11).normal(size=(10, 10))
-        lap = laplacian9_arrays(a, 0.5)
+        lap = laplacian9_arrays(wrapped(a), 0.5)
         for shift in [(1, 0), (0, 1), (3, -2)]:
             rolled = np.roll(a, shift, axis=(0, 1))
             np.testing.assert_array_equal(
-                laplacian9_arrays(rolled, 0.5), np.roll(lap, shift, axis=(0, 1))
+                laplacian9_arrays(wrapped(rolled), 0.5), np.roll(lap, shift, axis=(0, 1))
             )
 
     def test_square_symmetry_equivariance_bitwise(self):
         # the stencil commutes with every symmetry of the square, bitwise,
         # because neighbor contributions are grouped in opposite pairs
         a = np.random.default_rng(13).normal(size=(8, 8))
-        lap = laplacian9_arrays(a, 0.5)
+        lap = laplacian9_arrays(wrapped(a), 0.5)
         images = [np.rot90(a, k) for k in range(4)]
         images += [np.rot90(a.T, k) for k in range(4)]
         expected = [np.rot90(lap, k) for k in range(4)]
         expected += [np.rot90(lap.T, k) for k in range(4)]
         for img, exp in zip(images, expected):
-            np.testing.assert_array_equal(laplacian9_arrays(np.ascontiguousarray(img), 0.5), exp)
+            np.testing.assert_array_equal(laplacian9_arrays(wrapped(img), 0.5), exp)
 
 
 class TestLatticeSum:

@@ -74,11 +74,38 @@ class TestStabilityCheck:
         ok, _, _ = stability_check(SimParams(dt=1.0, allow_unstable=True))
         assert not ok
 
-    def test_zero_interface_width_removes_phase_bound(self):
-        p = SimParams(eps_bar=0.0)
-        ok, dt_thermal, dt_phase = stability_check(p)
-        assert ok
-        assert math.isinf(dt_phase)
+    def test_zero_interface_width_leaves_the_reaction_bound(self):
+        # with no gradient term the phase bound is 2 tau over the reaction's
+        # steepest slope (1 + alpha) / 2
+        for tau, alpha in ((3e-4, 0.9), (1e-4, 0.5)):
+            p = SimParams(eps_bar=0.0, tau=tau, alpha=alpha)
+            ok, _, dt_phase = stability_check(p)
+            assert ok
+            assert dt_phase == pytest.approx(4.0 * tau / (1.0 + alpha), rel=1e-15)
+
+    def test_phase_bound_adds_the_reaction_slope_to_the_stencil(self):
+        p = SimParams(tau=1e-4)
+        eps_max = p.eps_bar * (1.0 + p.delta)
+        lam = -R.stencil_symbol_min(p.dx)
+        want = 2.0 * p.tau / (eps_max * eps_max * lam + (1.0 + p.alpha) / 2.0)
+        assert stability_check(p)[2] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
+    def test_small_tau_run_just_inside_the_bound_stays_bounded(self, mode):
+        # tau = 1e-4 on 64x64 with noise: the Laplacian-only bound, 3.06e-4,
+        # blows up at step 11 at 0.95 times itself.  At 0.99 times the bound
+        # with the reaction slope (1.235e-4) 2000 steps measured finite with
+        # phi in [-0.006, 1.016] at tau 1e-4 and 2e-4; the band below is the
+        # healthy one, [-0.05, 1.05].
+        assert not stability_check(SimParams(tau=1e-4, dt=2.9e-4, allow_unstable=True))[0]
+        probe = SimParams(nx=64, ny=64, tau=1e-4, delta=0.05, noise_amp=0.01, divisor_mode=mode)
+        p = dataclasses.replace(probe, dt=0.99 * stability_check(probe)[2], total_steps=2000)
+        st, rng = initialize(p), RngStream(0)
+        lo, hi = 0.0, 1.0
+        for _ in range(p.total_steps):
+            st = step(st, p, rng)
+            lo, hi = min(lo, st.phi.data.min()), max(hi, st.phi.data.max())
+        assert -0.05 < lo and hi < 1.05
 
     def test_phase_bound_scales_with_peak_anisotropy(self):
         loose = stability_check(SimParams(delta=0.0))[2]
@@ -294,11 +321,11 @@ class TestStepAgainstRollStep:
     def test_negative_zeros_at_the_reach_boundary_bitwise(self, side, along, j_mode, paper_div,
                                                           theta0):
         # -0.0 at (r+1, box+REACH), on the window's last ring, and at
-        # (r, box+REACH+1), just outside it: the window's last cells wrap to
-        # the far side where the grid reads those cells, and the angle of a
-        # zero gradient turns on the sign of a zero.  At theta0 = 1.57 eps
-        # rounds alike at the angles 0 and pi; at 0.3 and 1.0 it does not
-        # (and REACH = 2 fails there).
+        # (r, box+REACH+1), just outside it in the halo, where the angle of
+        # a zero gradient turns on the sign of a zero.  At theta0 = 1.57 eps
+        # rounds alike at the angles 0 and pi; at 0.3 and 1.0 it does not.
+        # The halo holds the grid's own cells, so REACH = 2 keeps the bits
+        # (a window wrapped around itself needed 3).
         for delta in (0.01, 0.05):
             p = SimParams(nx=40, ny=47, j_mode=j_mode, delta=delta, theta0=theta0,
                           seed_radius_sq=4.0, divisor_mode=PAPER_CODE if paper_div else CENTERED)
@@ -330,6 +357,37 @@ class TestStepAgainstRollStep:
                 want_phi, want_temp = R.roll_step(phi, temp, p, p.dx, p.dt, paper_divisor=paper_div)
                 assert out.phi.data.tobytes() == want_phi.tobytes()
                 assert out.temp.data.tobytes() == want_temp.tobytes()
+
+    @pytest.mark.parametrize("gap", [3, 4, 5])
+    @pytest.mark.parametrize("side", ["top", "bottom", "left", "right"])
+    @pytest.mark.parametrize("paper_div", [True, False])
+    @pytest.mark.parametrize("bug", [False, True])
+    def test_seed_a_few_cells_from_an_edge_bitwise(self, gap, side, paper_div, bug):
+        # `gap` cells between the seed's box and an edge: at 3 the window's
+        # halo would pass the edge, so the window spans that axis; at 4 the
+        # halo ends on the edge, and at 5 one cell short of it
+        p = SimParams(nx=40, ny=47, noise_amp=0.01, seed_radius_sq=4.0, total_steps=4,
+                      divisor_mode=PAPER_CODE if paper_div else CENTERED,
+                      replicate_appendix_bug=bug)
+        st = initialize(p)
+        axis = 0 if side in ("top", "bottom") else 1
+        n, span = (p.nx, p.ny)[axis], st.box[axis]
+        shift = gap - span.start if side in ("top", "left") else n - gap - span.stop
+        phi = np.roll(st.phi.data, shift, axis=axis)
+        st = SimState(phi=Field(phi, p.dx), temp=st.temp)
+        assert st.box[axis].start == gap or n - st.box[axis].stop == gap
+        spans = widen(st.box, (p.nx, p.ny), REACH)[axis] == slice(0, n)
+        assert spans == (gap == 3)
+        temp = st.temp.data
+        stream, twin_stream = RngStream(5), RngStream(5)
+        for _ in range(p.total_steps):
+            st = step(st, p, rng=stream)
+            phi, temp = R.roll_step(
+                phi, temp, p, p.dx, p.dt, paper_divisor=paper_div, replicate_bug=bug,
+                chi=twin_stream.uniform_sym((p.nx, p.ny)),
+            )
+            assert st.phi.data.tobytes() == phi.tobytes()
+            assert st.temp.data.tobytes() == temp.tobytes()
 
     @pytest.mark.parametrize("layout", ["centred", "row-edge", "corner", "negative-zero"])
     @pytest.mark.parametrize("j_mode", [4, 6])
@@ -456,6 +514,65 @@ class TestNoRolledCopies:
             st = step(initialize(p), p, rng=RngStream(1))
             m = Field(m_of_temperature(st.temp.data, p), p.dx)
             assert np.isfinite(free_energy(st.phi, m, p))
+
+    @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
+    def test_a_step_makes_two_halo_copies_and_no_pad(self, monkeypatch, mode):
+        # one copy of phi with 2 rings and one of T with 1, on a small
+        # window and on the whole grid alike
+        calls = []
+
+        def counting(a, window, k):
+            calls.append(k)
+            return lattice.halo(a, window, k)
+
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad called")
+
+        monkeypatch.setattr(solver, "halo", counting)
+        monkeypatch.setattr(np, "pad", no_pad)
+        p = small_params(noise_amp=0.01, divisor_mode=mode)
+        full = SimState(phi=Field(np.random.default_rng(2).random((32, 32)), p.dx),
+                        temp=Field.zeros(32, 32, p.dx))
+        for st in (initialize(p), full):
+            calls.clear()
+            step(st, p, rng=RngStream(1))
+            assert calls == [2, 1]
+
+
+class TestHeatModeDecay:
+    """The PDE the stencil solves: with phi = 0 and T = A cos(2 pi x / L),
+    phi stays exactly 0 and T decays as exp(-(4/3) k^2 t), k = 2 pi / L, not
+    exp(-k^2 t), because the nine-point stencil is (4/3) of the Laplacian."""
+
+    @staticmethod
+    def decay_rate(n, t_end=1.0 / 64):
+        # L = 1 on n cells, dt = dx^2 / 4; tau = 1 keeps the phase bound
+        # out of the way, and phi = 0 makes the phase equation inert
+        dx = 1.0 / n
+        p = SimParams(nx=n, ny=3, dx=dx, dt=0.25 * dx * dx, tau=1.0, seed_radius_sq=0.0,
+                      divisor_mode=PAPER_CODE)
+        mode = np.cos(2.0 * np.pi * np.arange(n) / n)
+        st = SimState(phi=Field.zeros(n, 3, dx), temp=Field(0.1 * np.outer(mode, np.ones(3)), dx))
+        steps = round(t_end / p.dt)
+        for _ in range(steps):
+            st = step(st, p)
+            assert not st.phi.data.any()
+        amplitude = 2.0 / n * float(st.temp.data[:, 0] @ mode)
+        return -math.log(amplitude / 0.1) / (steps * p.dt)
+
+    def test_rate_converges_to_four_thirds_k_squared(self):
+        k2 = (2.0 * np.pi) ** 2
+        rates = [self.decay_rate(n) for n in (16, 32, 64)]
+        errors = [r - 4.0 / 3.0 * k2 for r in rates]
+        # second order: each halving of dx (and quartering of dt) cuts the
+        # error by 4 (measured 4.07 and 4.02) ...
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+        # ... so the finest rate is within its last change of the limit,
+        # and k^2 is far outside that
+        tol = abs(rates[1] - rates[2])
+        assert abs(errors[2]) < tol
+        assert abs(rates[2] - k2) > 50 * tol
 
 
 class TestNoGridScan:
