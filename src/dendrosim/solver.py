@@ -206,9 +206,10 @@ def stability_check(p: SimParams) -> tuple[bool, float, float]:
     """Explicit-Euler step limits for the thermal and phase equations.
 
     The nine-point stencil's most negative eigenvalue is -16 / (3 dx^2), giving
-    dt <= 3 dx^2 / 8 for the heat equation.  The phase equation's linear part
-    adds to eps_max^2 times that eigenvalue the reaction's steepest slope,
-    -(1 + alpha) / 2 at a bulk state (|m| < alpha / 2), over tau.
+    dt <= 3 dx^2 / 8 for the heat equation.  The phase equation's fastest
+    decay rate is eps_max^2 times that eigenvalue plus the reaction's steepest
+    slope, -(1 + alpha) / 2 at a bulk state (|m| < alpha / 2), over tau, and
+    dt is at most 2 over its magnitude.
     """
     dt_thermal = 3.0 * p.dx * p.dx / 8.0
     eps_max = p.eps_bar * (1.0 + p.delta)
@@ -241,8 +242,8 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     Only the window around the nonzero cells of phi and T is updated: the
     state's box widened by lattice.REACH (see there for why that gives the
     bits of the whole-grid update).  Every cell outside it is +0.0 in the
-    result, so the result's box is found on the window alone.  When the
-    nonzero cells come within reach of an edge the window spans that axis
+    result, so the result's box is found on the window alone.  Where the
+    window's halo would pass an edge the window spans that axis
     (lattice.widen), and the whole grid is the widest window.
 
     Pass 1 copies the window of phi and T once each with a halo of their
