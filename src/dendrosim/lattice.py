@@ -1,7 +1,12 @@
 """Periodic 2D scalar fields and the discrete stencil operators built on them.
 
 Fields are stored as C-contiguous float64 arrays of shape (nx, ny): the first
-index is x, the second (fast) index is y.  Stencils run in valid mode on a `halo`.
+index is x, the second (fast) index is y.  Stencils run on the flat view of a
+`halo` copy, whose rows are `pitch` cells long: a span of flat indices is one
+contiguous slice, and its neighbours are the same span moved by +-1 (y),
++-pitch (x) or both.  A result on a span keeps the rows at that pitch, so the
+positions past the ends of the window's rows hold values of no cell;
+`cell_view` drops them.
 """
 
 from __future__ import annotations
@@ -61,12 +66,14 @@ def divisors(dx: float, mode: str) -> float:
     raise ValueError(f"unknown divisor_mode {mode!r}, expected one of {DIVISOR_MODES}")
 
 
-def halo(a: np.ndarray, window: tuple[slice, slice], k: int) -> np.ndarray:
-    """Copy of `a[window]` with `k` rings of its grid neighbours, built from
-    slice copies (cheaper than np.pad, and far cheaper than fancy indexing).
-    The rings wrap only on an axis the window spans, so the whole grid is
-    the case where they wrap on both; on another axis they must lie in the
-    grid (`widen` sees to that), or it is a ValueError."""
+def halo(planes, window: tuple[slice, slice], k: int) -> np.ndarray:
+    """Copy of `window` of each of `planes` (equal-shape 2-D arrays) with `k`
+    rings of its grid neighbours, as one array of shape (len(planes), window
+    rows + 2k, window columns + 2k).  It is built from slice copies (cheaper
+    than np.pad, and far cheaper than fancy indexing).  The rings wrap only
+    on an axis the window spans, so the whole grid is the case where they
+    wrap on both; on another axis they must lie in the grid (`widen` sees to
+    that), or it is a ValueError."""
     def pieces(s, n):
         lo, hi, _ = s.indices(n)
         if hi - lo == n:  # (start, stop, start in the copy): the last k, all, the first k
@@ -75,31 +82,37 @@ def halo(a: np.ndarray, window: tuple[slice, slice], k: int) -> np.ndarray:
             raise ValueError(f"a halo of {k} around cells {lo}:{hi} leaves an axis of {n}")
         return ((lo - k, hi + k, 0),)
 
-    rows, cols = (pieces(s, n) for s, n in zip(window, a.shape))
-    out = np.empty([len(range(*s.indices(n))) + 2 * k for s, n in zip(window, a.shape)])
-    for r0, r1, i in rows:
-        for c0, c1, j in cols:
-            out[i:i + r1 - r0, j:j + c1 - c0] = a[r0:r1, c0:c1]
+    shape = planes[0].shape
+    rows, cols = (pieces(s, n) for s, n in zip(window, shape))
+    out = np.empty([len(planes)] + [len(range(*s.indices(n))) + 2 * k
+                                    for s, n in zip(window, shape)])
+    for plane, a in zip(out, planes):
+        for r0, r1, i in rows:
+            for c0, c1, j in cols:
+                plane[i:i + r1 - r0, j:j + c1 - c0] = a[r0:r1, c0:c1]
     return out
 
 
 Box = tuple[slice, slice]
 
-_EDGES = (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1])
+_EDGES = (np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1])
 
 
-def nonzero_box(a: np.ndarray, b: np.ndarray) -> Box | None:
+def nonzero_box(planes) -> Box | None:
     """Smallest (row slice, column slice) box holding every nonzero cell of
-    `a` and `b`, or None when both are all zero.
+    the planes of `planes`, an array of shape (k, nx, ny) or a sequence of
+    equal-shape 2-D arrays (stacked into one first), or None when they are
+    all zero.
 
     NaN cells count as nonzero and -0.0 cells as zero.  The four edge lines
     are read first: when each holds a nonzero cell the box is the whole
-    array, and no other cell is read.
+    plane, and no other cell is read.
     """
-    nx, ny = a.shape
-    if all(a[e].any() or b[e].any() for e in _EDGES):
+    planes = np.asarray(planes)
+    _, nx, ny = planes.shape
+    if all(planes[e].any() for e in _EDGES):
         return slice(0, nx), slice(0, ny)
-    live = (a != 0.0) | (b != 0.0)
+    live = (planes != 0.0).any(axis=0)
     rows = np.flatnonzero(live.any(axis=1))
     if rows.size == 0:
         return None
@@ -108,8 +121,8 @@ def nonzero_box(a: np.ndarray, b: np.ndarray) -> Box | None:
 
 
 # How far past the box of the nonzero phi and T cells a window reaches, and
-# the width of its halo of phi: a new value reads cells at most 2 away (a
-# stencil of a stencil), so every cell further out updates to +0.0.
+# the width of its halo: a new value reads cells at most 2 away (a stencil of
+# a stencil), so every cell further out updates to +0.0.
 REACH = 2
 
 
@@ -130,41 +143,40 @@ def widen(box: Box | None, shape: tuple[int, int], reach: int) -> Box:
     )
 
 
-def embed(a: np.ndarray, shape: tuple[int, int], window: tuple[slice, slice]) -> np.ndarray:
-    """`a` written at `window` into zeros of `shape`; `a` itself if it fills `shape`."""
-    if a.shape == shape:
-        return a
-    out = np.zeros(shape)
-    out[window] = a
-    return out
+def cell_view(a: np.ndarray, pitch: int, cols: int) -> np.ndarray:
+    """The cells of `a`, a 1-D span of a padded-row array that starts at a
+    cell, as a (rows, cols) view: cell (i, j) is a[i * pitch + j]."""
+    rows = (a.size + pitch - cols) // pitch
+    return np.ndarray((rows, cols), a.dtype, a, strides=(pitch * a.itemsize, a.itemsize))
 
 
-def gradient_arrays(h: np.ndarray, dx: float, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences (df/dx, df/dy) in valid mode, on `h` less its outer
-    ring; see `divisors` for the two modes."""
+def gradient_arrays(f: np.ndarray, pitch: int, span: slice, dx: float,
+                    mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences (df/dx, df/dy) at the flat positions `span` of
+    `f`, rows of `pitch` cells laid end to end; see `divisors` for the two
+    modes.  The span must keep one row and one cell clear of both ends of f."""
+    lo, hi = span.start, span.stop
     div = divisors(dx, mode)
-    gx = (h[2:, 1:-1] - h[:-2, 1:-1]) / div
-    gy = (h[1:-1, 2:] - h[1:-1, :-2]) / div
+    gx = (f[lo + pitch:hi + pitch] - f[lo - pitch:hi - pitch]) / div
+    gy = (f[lo + 1:hi + 1] - f[lo - 1:hi - 1]) / div
     return gx, gy
 
 
-def laplacian9_arrays(h: np.ndarray, dx: float) -> np.ndarray:
-    """Nine-point Laplacian [edges 2, diagonals 1, center -12] / (3 dx^2), in
-    valid mode as gradient_arrays.
+def laplacian9_arrays(f: np.ndarray, pitch: int, span: slice, dx: float) -> np.ndarray:
+    """Nine-point Laplacian [edges 2, diagonals 1, center -12] / (3 dx^2) at
+    `span`, laid out as gradient_arrays; on a (k, n) `f` it is one call for
+    the k fields f[0], ..., f[k - 1].
 
     Neighbor contributions are accumulated in opposite-pair order, which
     keeps the stencil bitwise equivariant under the square's symmetries (pair
     sums only swap or commute under D4).
     """
-    xp = h[2:, 1:-1]
-    xm = h[:-2, 1:-1]
-    yp = h[1:-1, 2:]
-    ym = h[1:-1, :-2]
-    pp = h[2:, 2:]
-    mm = h[:-2, :-2]
-    pm = h[2:, :-2]
-    mp = h[:-2, 2:]
-    c = h[1:-1, 1:-1]
+    lo, hi = span.start, span.stop
+    xp, xm = f[..., lo + pitch:hi + pitch], f[..., lo - pitch:hi - pitch]
+    yp, ym = f[..., lo + 1:hi + 1], f[..., lo - 1:hi - 1]
+    pp, mm = f[..., lo + pitch + 1:hi + pitch + 1], f[..., lo - pitch - 1:hi - pitch - 1]
+    pm, mp = f[..., lo + pitch - 1:hi + pitch - 1], f[..., lo - pitch + 1:hi - pitch + 1]
+    c = f[..., lo:hi]
     return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * c) / (3.0 * dx * dx)
 
 

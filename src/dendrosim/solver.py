@@ -19,8 +19,8 @@ from .lattice import (
     DIVISOR_MODES,
     REACH,
     Field,
+    cell_view,
     divisors,
-    embed,
     gradient_arrays,
     halo,
     laplacian9_arrays,
@@ -191,7 +191,7 @@ class SimState:
         """lattice.nonzero_box of phi and T.  step and initialize hand it to
         the states they make; any other state (built by hand, or by
         dataclasses.replace) scans its fields on first use."""
-        return nonzero_box(self.phi.data, self.temp.data)
+        return nonzero_box((self.phi.data, self.temp.data))
 
 
 def _carrying(box, **fields) -> SimState:
@@ -246,12 +246,21 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     window's halo would pass an edge the window spans that axis
     (lattice.widen), and the whole grid is the widest window.
 
-    Pass 1 copies the window of phi and T once each with a halo of their
-    grid neighbours (lattice.halo), 2 rings and 1, and runs every stencil in
-    valid mode on slice views: grad(phi), the angle, eps, eps' and the flux
-    product eps*eps'*grad(phi) on the window plus one ring; the Laplacians,
-    grad(eps^2), the flux differences and the noise field on the window.
-    Pass 2 is purely elementwise on those arrays:
+    Pass 1 copies the window of phi and T once, together, with 2 rings of
+    their grid neighbours (lattice.halo): a (2, R, C) buffer, C the window's
+    columns + 4.  Every stencil reads contiguous slices of the buffer's flat
+    view, where position t is halo row t // C, column t % C, and its
+    neighbours are t +- 1, t +- C and t +- C +- 1.  grad(phi), the angle,
+    eps, eps' and the flux product eps*eps'*grad(phi) cover the window plus
+    one ring, the flat span from halo cell (1, 1) to (R - 2, C - 2); the
+    Laplacians of phi and T (one call on the pair), grad(eps^2), the flux
+    differences and the noise cover the window, the span from (2, 2) to
+    (R - 3, C - 3).  Each span keeps the rows at pitch C, so it also holds
+    the positions between the ends of its rows.  Those are no cells: their
+    stencils wrap from one row's end to the next row's start, but read only
+    finite halo values (the noise there is 0 when the window spans the
+    columns), no cell ever reads them, and they are dropped when the result
+    is written.  Pass 2 is purely elementwise on those arrays:
 
         term1 =  d/dy [eps eps' dphi/dx]
         term2 = -d/dx [eps eps' dphi/dy]
@@ -259,6 +268,10 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
         dphi  = (dt/tau) (term1 + term2 + eps^2 lap(phi) + term3
                           + reaction + noise)
         T'    =  T + dt lap(T) + latent_heat * dphi
+
+    The last sums of phi' and T' are written into the window of one
+    (2, nx, ny) grid of zeros, whose planes are the new state's fields; that
+    window alone is checked for finite values and scanned for the new box.
 
     With replicate_appendix_bug the eps^2 gradient degenerates to the two
     scalars left over from the grid's last raster cell, reproducing the
@@ -271,70 +284,91 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
             )
         if f.dx != p.dx:
             raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
-    dx = p.dx
+    dx, mode = p.dx, p.divisor_mode
     shape = state.phi.data.shape
     window = widen(state.box, shape, REACH)
-    phi, temp = state.phi.data[window], state.temp.data[window]
-    phi_h = halo(state.phi.data, window, 2)
-    gx, gy = gradient_arrays(phi_h, dx, p.divisor_mode)
-    lap_phi = laplacian9_arrays(phi_h[1:-1, 1:-1], dx)
-    del phi_h  # freed before the anisotropy's arrays are made: fewer page faults
-    lap_t = laplacian9_arrays(halo(state.temp.data, window, 1), dx)
+    h = halo((state.phi.data, state.temp.data), window, 2)
+    _, rows, pitch = h.shape
+    f = h.reshape(2, -1)
+    size = (rows - 4) * pitch - 4
+    ring = slice(pitch + 1, (rows - 1) * pitch - 1)
+    cells = slice(2 * pitch + 2, 2 * pitch + 2 + size)
+    inner = slice(pitch + 1, pitch + 1 + size)  # `cells` in an array on `ring`
+    phi, temp = f[:, cells]
+    gx, gy = gradient_arrays(f[0], pitch, ring, dx, mode)
+    lap_phi, lap_t = laplacian9_arrays(f, pitch, cells, dx)
 
     eps, eps_prime = epsilon_of_theta(interface_angle(gx, gy), p)
     eps2 = eps * eps
     flux = eps * eps_prime
+    del eps, eps_prime
     qx = flux * gx
     qy = flux * gy
+    del flux
 
     if p.replicate_appendix_bug:
         # stale scalars from the grid's last cell, whatever the window: its
-        # eps^2 gradient reads phi at most 2 cells away, in this 5x5 block
+        # eps^2 gradient reads phi at most 2 cells away, in this 5x5 block,
+        # whose 3x3 centre is the flat span 6:19 and the cell itself 6 of it
         block = state.phi.data[np.ix_(np.arange(-3, 2) % p.nx, np.arange(-3, 2) % p.ny)]
-        bx, by = gradient_arrays(block, dx, p.divisor_mode)
+        bx, by = gradient_arrays(block.ravel(), 5, slice(6, 19), dx, mode)
         eps_b, _ = epsilon_of_theta(interface_angle(bx, by), p)
-        ge2x, ge2y = (g[0, 0] for g in gradient_arrays(eps_b * eps_b, dx, p.divisor_mode))
+        ge2x, ge2y = (g[0] for g in gradient_arrays(eps_b * eps_b, 5, slice(6, 7), dx, mode))
     else:
-        ge2x, ge2y = gradient_arrays(eps2, dx, p.divisor_mode)
+        ge2x, ge2y = gradient_arrays(eps2, pitch, inner, dx, mode)
 
     chi = None
     if p.noise_amp > 0.0:
         if rng is None:
             raise ValueError("noise_amp > 0 requires an RngStream")
         # the window's rows of a whole-grid draw, so the stream does not
-        # depend on the window
-        chi = rng.uniform_sym(shape, window[0])[:, window[1]]
+        # depend on the window, laid out as the halo's rows: the window's
+        # cell (i, j) is band[i, j + 2]
+        c0, c1 = window[1].start, window[1].stop
+        if c1 - c0 == shape[1]:
+            band = np.zeros((rows - 4, pitch))
+            rng.uniform_sym(shape, window[0], out=band[:, 2:-2])
+        else:
+            band = rng.uniform_sym(shape, window[0], slice(c0 - 2, c1 + 2))
+        chi = band.reshape(-1)[2:2 + size]
 
-    div = divisors(dx, p.divisor_mode)
+    div = divisors(dx, mode)
     dt_over_tau = p.dt / p.tau
-    term1 = (qx[1:-1, 2:] - qx[1:-1, :-2]) / div
-    term2 = -(qy[2:, 1:-1] - qy[:-2, 1:-1]) / div
-    gx, gy, eps2 = gx[1:-1, 1:-1], gy[1:-1, 1:-1], eps2[1:-1, 1:-1]
-    term3 = ge2x * gx + ge2y * gy
+    lo, hi = inner.start, inner.stop
+    term1 = (qx[lo + 1:hi + 1] - qx[lo - 1:hi - 1]) / div
+    term2 = -(qy[lo + pitch:hi + pitch] - qy[lo - pitch:hi - pitch]) / div
+    # the later temporaries live to the end of the step: freed early, they
+    # leave the top of the heap free, and the allocator returns it to the
+    # system at every step, to fault it back in at the next
+    del qx, qy
+    term3 = ge2x * gx[inner] + ge2y * gy[inner]
     m = m_of_temperature(temp, p)
-    rhs = (term1 + term2) + term3 + (eps2 * lap_phi + reaction_term(phi, m))
+    rhs = (term1 + term2) + term3 + (eps2[inner] * lap_phi + reaction_term(phi, m))
     if chi is not None:
         rhs = rhs + noise_term(phi, p.noise_amp, chi)
+        del chi
     dphi = rhs * dt_over_tau
-    phi_new = phi + dphi
-    temp_new = temp + p.dt * lap_t + p.latent_heat * dphi
+
+    cols = pitch - 4
+    grid = np.zeros((2, *shape))
+    new = grid[(slice(None), *window)]
+    np.add(cell_view(phi, pitch, cols), cell_view(dphi, pitch, cols), out=new[0])
+    heated = temp + p.dt * lap_t
+    np.add(cell_view(heated, pitch, cols), cell_view(p.latent_heat * dphi, pitch, cols),
+           out=new[1])
 
     new_step = state.step + 1
-    for name, arr in (("phi", phi_new), ("temp", temp_new)):
-        if not np.isfinite(arr).all():
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            cell = (window[0].start + int(bad[0]), window[1].start + int(bad[1]))
-            raise BlowupError(new_step, name, cell)
+    if not np.isfinite(new).all():
+        for name, plane in zip(("phi", "temp"), new):
+            bad = np.argwhere(~np.isfinite(plane))
+            if bad.size:
+                cell = (window[0].start + int(bad[0, 0]), window[1].start + int(bad[0, 1]))
+                raise BlowupError(new_step, name, cell)
 
-    box = nonzero_box(phi_new, temp_new)
+    box = nonzero_box(new)
     if box is not None:
         box = tuple(slice(w.start + b.start, w.start + b.stop) for w, b in zip(window, box))
-    return _carrying(
-        box,
-        phi=Field(embed(phi_new, shape, window), dx),
-        temp=Field(embed(temp_new, shape, window), dx),
-        step=new_step,
-    )
+    return _carrying(box, phi=Field(grid[0], dx), temp=Field(grid[1], dx), step=new_step)
 
 
 def run(p: SimParams, on_snapshot=None, on_diagnostics=None):

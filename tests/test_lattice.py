@@ -11,8 +11,8 @@ from dendrosim.lattice import (
     CENTERED,
     PAPER_CODE,
     Field,
+    cell_view,
     divisors,
-    embed,
     gradient_arrays,
     laplacian9_arrays,
     REACH,
@@ -27,6 +27,26 @@ def wrapped(a):
     """`a` with one periodic ring, the input a valid-mode stencil needs for
     the periodic result on all of `a`."""
     return np.pad(a, 1, mode="wrap")
+
+
+def inner_span(h):
+    """The flat span of `h`'s cells less its outer ring, and `h`'s pitch."""
+    rows, pitch = h.shape
+    return slice(pitch + 1, (rows - 1) * pitch - 1), pitch
+
+
+def gradient2d(h, dx, mode):
+    """gradient_arrays on `h` less its outer ring, as 2-D arrays."""
+    span, pitch = inner_span(h)
+    return tuple(np.ascontiguousarray(cell_view(g, pitch, pitch - 2))
+                 for g in gradient_arrays(h.ravel(), pitch, span, dx, mode))
+
+
+def laplacian2d(h, dx):
+    """laplacian9_arrays on `h` less its outer ring, as a 2-D array."""
+    span, pitch = inner_span(h)
+    return np.ascontiguousarray(
+        cell_view(laplacian9_arrays(h.ravel(), pitch, span, dx), pitch, pitch - 2))
 
 
 def random_field(nx, ny, dx=0.03, seed=0):
@@ -88,24 +108,24 @@ class TestHalo:
         a = np.random.default_rng(31).normal(size=shape)
         want = np.pad(a, k, mode="wrap")
         for window in (np.s_[:, :], (slice(0, shape[0]), slice(0, shape[1]))):
-            got = halo(a, window, k)
+            got = halo((a,), window, k)[0]
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_interior_window_is_the_plain_grid_slice(self, k):
         a = np.random.default_rng(32).normal(size=(12, 15))
         for rows, cols in [((2, 10), (2, 13)), ((3, 4), (5, 6)), ((k, 12 - k), (k, 15 - k))]:
-            got = halo(a, (slice(*rows), slice(*cols)), k)
+            got = halo((a,), (slice(*rows), slice(*cols)), k)[0]
             want = a[rows[0] - k:rows[1] + k, cols[0] - k:cols[1] + k]
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_mixed_axes_wrap_only_the_spanned_one(self, k):
         a = np.random.default_rng(33).normal(size=(10, 13))
-        got = halo(a, (slice(0, 10), slice(4, 9)), k)
+        got = halo((a,), (slice(0, 10), slice(4, 9)), k)[0]
         want = np.pad(a, ((k, k), (0, 0)), mode="wrap")[:, 4 - k:9 + k]
         assert got.tobytes() == want.tobytes()
-        got = halo(a, (slice(3, 6), slice(0, 13)), k)
+        got = halo((a,), (slice(3, 6), slice(0, 13)), k)[0]
         want = np.pad(a, ((0, 0), (k, k)), mode="wrap")[3 - k:6 + k]
         assert got.tobytes() == want.tobytes()
 
@@ -113,12 +133,20 @@ class TestHalo:
                                         np.s_[4:6, 11:13]])
     def test_rings_past_the_edge_of_an_unspanned_axis_are_an_error(self, window):
         with pytest.raises(ValueError, match="halo of 2"):
-            halo(np.zeros((10, 13)), window, 2)
+            halo((np.zeros((10, 13)),), window, 2)
 
     def test_signed_zeros_and_nan_are_copied_bit_for_bit(self):
         a = np.where(np.random.default_rng(34).random((6, 7)) < 0.5, -0.0, 0.0)
         a[2, 3] = np.nan
-        assert halo(a, np.s_[:, :], 2).tobytes() == np.pad(a, 2, mode="wrap").tobytes()
+        assert halo((a,), np.s_[:, :], 2).tobytes() == np.pad(a, 2, mode="wrap").tobytes()
+
+    def test_planes_are_copied_together(self):
+        a, b = np.random.default_rng(35).normal(size=(2, 9, 11))
+        for window in (np.s_[:, :], np.s_[2:5, 0:11], np.s_[3:6, 4:7]):
+            pair = halo((a, b), window, 2)
+            assert pair.shape[0] == 2
+            assert pair[0].tobytes() == halo((a,), window, 2)[0].tobytes()
+            assert pair[1].tobytes() == halo((b,), window, 2)[0].tobytes()
 
 
 class TestSupportWindow:
@@ -134,7 +162,7 @@ class TestSupportWindow:
         return self.widened(a, b, REACH)
 
     def widened(self, a, b, reach):
-        return widen(nonzero_box(a, b), self.SHAPE, reach)
+        return widen(nonzero_box((a, b)), self.SHAPE, reach)
 
     def test_all_zero_pair_is_three_by_three_reach_from_the_origin(self):
         assert self.window() == (slice(2, 5), slice(2, 5))
@@ -146,7 +174,7 @@ class TestSupportWindow:
     ])
     def test_all_zero_pair_spans_an_axis_too_short_for_its_halo(self, shape, expected):
         zeros = np.zeros(shape)
-        assert widen(nonzero_box(zeros, zeros), shape, REACH) == expected
+        assert widen(nonzero_box((zeros, zeros)), shape, REACH) == expected
 
     def test_centred_blob_widened_by_reach(self):
         assert self.window([(9, 14), (10, 16)]) == (slice(7, 13), slice(12, 19))
@@ -198,9 +226,9 @@ class TestSupportWindow:
         a = np.zeros(self.SHAPE)
         b = np.zeros(self.SHAPE)
         a[0, 5], a[7, -1], b[-1, 3], b[12, 0] = 1.0, np.nan, -1.0, 2.0
-        assert nonzero_box(a, b) == (slice(0, 20), slice(0, 30))
+        assert nonzero_box((a, b)) == (slice(0, 20), slice(0, 30))
         b[12, 0] = -0.0
-        assert nonzero_box(a, b) == (slice(0, 20), slice(3, 30))
+        assert nonzero_box((a, b)) == (slice(0, 20), slice(3, 30))
 
     @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**32 - 1),
            st.integers(0, 4))
@@ -213,17 +241,9 @@ class TestSupportWindow:
             live = rng.random((nx, ny)) < rng.choice([0.0, 0.05, 0.3, 1.0])
             a[live] = rng.choice([1.0, -2.5, 5e-324, np.nan], size=int(live.sum()))
             pair.append(a)
-        box = nonzero_box(*pair)
+        box = nonzero_box(pair)
         assert box == R.naive_nonzero_box(*pair)
         assert widen(box, (nx, ny), reach) == R.naive_window(*pair, reach)
-
-    def test_embed_writes_into_zeros_and_keeps_a_whole_grid_array(self):
-        a = np.arange(1.0, 7.0).reshape(2, 3)
-        out = embed(a, (4, 5), (slice(1, 3), slice(2, 5)))
-        expected = np.zeros((4, 5))
-        expected[1:3, 2:5] = a
-        assert out.tobytes() == expected.tobytes()
-        assert embed(a, (2, 3), (slice(0, 2), slice(0, 3))) is a
 
 
 class TestGradient:
@@ -238,7 +258,7 @@ class TestGradient:
     def test_constant_field_gradient_is_exactly_zero(self):
         a = np.full((6, 7), 3.7)
         for mode in (PAPER_CODE, CENTERED):
-            gx, gy = gradient_arrays(a, 0.03, mode)
+            gx, gy = gradient2d(a, 0.03, mode)
             assert not gx.any()
             assert not gy.any()
 
@@ -247,8 +267,8 @@ class TestGradient:
         # result covers the cells with both neighbours, so no wrap enters
         dx = 0.25
         x = np.arange(9)[:, None] * dx * np.ones((1, 5))
-        gx_p, gy_p = gradient_arrays(x, dx, PAPER_CODE)
-        gx_c, gy_c = gradient_arrays(x, dx, CENTERED)
+        gx_p, gy_p = gradient2d(x, dx, PAPER_CODE)
+        gx_c, gy_c = gradient2d(x, dx, CENTERED)
         assert gx_p.shape == gy_c.shape == (7, 3)
         assert (gx_p == 2.0).all()
         assert (gx_c == 1.0).all()
@@ -259,7 +279,7 @@ class TestGradient:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(7, 9))
         for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
-            gx, gy = gradient_arrays(wrapped(a), 0.03, mode)
+            gx, gy = gradient2d(wrapped(a), 0.03, mode)
             ox, oy = R.naive_gradient(a, 0.03, 0.03, paper)
             np.testing.assert_array_equal(gx, ox)
             np.testing.assert_array_equal(gy, oy)
@@ -268,15 +288,15 @@ class TestGradient:
     def test_matches_roll_formulas_bitwise(self, shape):
         a = np.random.default_rng(37).normal(size=shape)
         for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
-            gx, gy = gradient_arrays(wrapped(a), 0.03, mode)
+            gx, gy = gradient2d(wrapped(a), 0.03, mode)
             rx, ry = R.roll_gradient(a, 0.03, 0.03, paper)
             np.testing.assert_array_equal(gx, rx)
             np.testing.assert_array_equal(gy, ry)
 
     def test_translation_equivariance_bitwise(self):
         a = np.random.default_rng(5).normal(size=(8, 8))
-        gx, gy = gradient_arrays(wrapped(a), 0.03, PAPER_CODE)
-        sx, sy = gradient_arrays(wrapped(np.roll(a, (2, -3), axis=(0, 1))), 0.03, PAPER_CODE)
+        gx, gy = gradient2d(wrapped(a), 0.03, PAPER_CODE)
+        sx, sy = gradient2d(wrapped(np.roll(a, (2, -3), axis=(0, 1))), 0.03, PAPER_CODE)
         np.testing.assert_array_equal(sx, np.roll(gx, (2, -3), axis=(0, 1)))
         np.testing.assert_array_equal(sy, np.roll(gy, (2, -3), axis=(0, 1)))
 
@@ -288,20 +308,68 @@ class TestValidMode:
         a = np.random.default_rng(47).normal(size=shape)
         inner = np.s_[1:-1, 1:-1]
         for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
-            for got, want in zip(gradient_arrays(a, 0.03, mode),
+            for got, want in zip(gradient2d(a, 0.03, mode),
                                  R.roll_gradient(a, 0.03, 0.03, paper)):
                 assert got.tobytes() == want[inner].tobytes()
-        assert laplacian9_arrays(a, 0.03).tobytes() == R.roll_laplacian9(a, 0.03)[inner].tobytes()
+        assert laplacian2d(a, 0.03).tobytes() == R.roll_laplacian9(a, 0.03)[inner].tobytes()
+
+
+class TestFlatStencils:
+    """The step's layout: two fields copied together with 2 rings, the
+    gradient taken on the window plus one ring, the pair Laplacian on the
+    window, both read back through cell_view and matched against the roll
+    formulas, bit for bit."""
+
+    CASES = [
+        ((12, 15), np.s_[2:6, 2:5]),  # 2 cells from the top and left edges
+        ((12, 15), np.s_[6:10, 10:13]),  # 2 cells from the bottom and right
+        ((12, 15), np.s_[0:12, 5:8]),  # the rows spanned, the narrowest columns
+        ((12, 15), np.s_[4:7, 0:15]),  # the columns spanned
+        ((12, 15), np.s_[0:12, 0:15]),
+        ((15, 7), np.s_[2:13, 0:7]),
+        ((7, 16), np.s_[0:7, 2:14]),
+        ((3, 9), np.s_[0:3, 2:5]),
+        ((3, 3), np.s_[0:3, 0:3]),
+    ]
+
+    @pytest.mark.parametrize("shape, window", CASES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_match_the_roll_formulas_bitwise(self, shape, window, seed):
+        rng = np.random.default_rng(seed)
+        pair = rng.normal(size=(2, *shape))
+        h = halo(pair, window, 2)
+        _, rows, pitch = h.shape
+        f = h.reshape(2, -1)
+        size = (rows - 4) * pitch - 4
+        ring = slice(pitch + 1, (rows - 1) * pitch - 1)
+        cells = slice(2 * pitch + 2, 2 * pitch + 2 + size)
+        # the window and its ring as whole-grid cells, wrapped on a spanned axis
+        around = np.ix_(*(np.arange(w.start - 1, w.stop + 1) % n for w, n in zip(window, shape)))
+        for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
+            got = gradient_arrays(f[0], pitch, ring, 0.03, mode)
+            for g, want in zip(got, R.roll_gradient(pair[0], 0.03, 0.03, paper)):
+                assert cell_view(g, pitch, pitch - 2).tobytes() == want[around].tobytes()
+        lap = laplacian9_arrays(f, pitch, cells, 0.03)
+        assert lap.shape == (2, size)
+        for got, a in zip(lap, pair):
+            assert cell_view(got, pitch, pitch - 4).tobytes() == \
+                R.roll_laplacian9(a, 0.03)[window].tobytes()
+
+    def test_cell_view_drops_the_positions_between_rows(self):
+        a = np.arange(3 * 7 - 4.0)
+        view = cell_view(a, 7, 3)
+        assert view.shape == (3, 3)
+        assert view.tolist() == [[0, 1, 2], [7, 8, 9], [14, 15, 16]]
 
 
 class TestLaplacian:
     def test_constant_field_maps_to_exact_zero(self):
-        assert not laplacian9_arrays(np.full((5, 5), 2.25), 1.0).any()
+        assert not laplacian2d(np.full((5, 5), 2.25), 1.0).any()
 
     def test_unit_spike_stencil_weights(self):
         a = np.zeros((7, 7))
         a[3, 3] = 1.0
-        lap = laplacian9_arrays(wrapped(a), 1.0)
+        lap = laplacian2d(wrapped(a), 1.0)
         assert lap[3, 3] == -4.0
         for i, j in [(2, 3), (4, 3), (3, 2), (3, 4)]:
             assert lap[i, j] == 2.0 / 3.0
@@ -315,7 +383,7 @@ class TestLaplacian:
         n, dx, k = 32, 0.03, 3
         x = 2.0 * np.pi * k * np.arange(n) / n
         f = np.sin(x)[:, None] * np.ones((1, n))
-        lap = laplacian9_arrays(wrapped(f), dx)
+        lap = laplacian2d(wrapped(f), dx)
         X, Y = 2.0 * np.pi * k / n, 0.0
         lam = (2.0 * (2.0 * np.cos(X) + 2.0 * np.cos(Y))
                + 2.0 * np.cos(X + Y) + 2.0 * np.cos(X - Y) - 12.0) / (3.0 * dx * dx)
@@ -323,35 +391,35 @@ class TestLaplacian:
 
     def test_matches_loop_oracle(self):
         a = np.random.default_rng(7).normal(size=(9, 6))
-        lap = laplacian9_arrays(wrapped(a), 0.03)
+        lap = laplacian2d(wrapped(a), 0.03)
         np.testing.assert_allclose(lap, R.naive_laplacian9(a, 0.03), rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3)])
     def test_matches_roll_formulas_bitwise(self, shape):
         a = np.random.default_rng(41).normal(size=shape)
-        np.testing.assert_array_equal(laplacian9_arrays(wrapped(a), 0.03),
+        np.testing.assert_array_equal(laplacian2d(wrapped(a), 0.03),
                                       R.roll_laplacian9(a, 0.03))
 
     def test_translation_equivariance_bitwise(self):
         a = np.random.default_rng(11).normal(size=(10, 10))
-        lap = laplacian9_arrays(wrapped(a), 0.5)
+        lap = laplacian2d(wrapped(a), 0.5)
         for shift in [(1, 0), (0, 1), (3, -2)]:
             rolled = np.roll(a, shift, axis=(0, 1))
             np.testing.assert_array_equal(
-                laplacian9_arrays(wrapped(rolled), 0.5), np.roll(lap, shift, axis=(0, 1))
+                laplacian2d(wrapped(rolled), 0.5), np.roll(lap, shift, axis=(0, 1))
             )
 
     def test_square_symmetry_equivariance_bitwise(self):
         # the stencil commutes with every symmetry of the square, bitwise,
         # because neighbor contributions are grouped in opposite pairs
         a = np.random.default_rng(13).normal(size=(8, 8))
-        lap = laplacian9_arrays(wrapped(a), 0.5)
+        lap = laplacian2d(wrapped(a), 0.5)
         images = [np.rot90(a, k) for k in range(4)]
         images += [np.rot90(a.T, k) for k in range(4)]
         expected = [np.rot90(lap, k) for k in range(4)]
         expected += [np.rot90(lap.T, k) for k in range(4)]
         for img, exp in zip(images, expected):
-            np.testing.assert_array_equal(laplacian9_arrays(wrapped(img), 0.5), exp)
+            np.testing.assert_array_equal(laplacian2d(wrapped(img), 0.5), exp)
 
 
 class TestLatticeSum:

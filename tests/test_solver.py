@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,9 +38,12 @@ class FixedNoise:
     def __init__(self, chi):
         self.chi = chi
 
-    def uniform_sym(self, shape, rows=slice(None)):
+    def uniform_sym(self, shape, rows=slice(None), cols=slice(None), out=None):
         assert shape == self.chi.shape
-        return self.chi[rows]
+        if out is None:
+            return self.chi[rows][..., cols]
+        out[...] = self.chi[rows][..., cols]
+        return out
 
 
 def small_params(**kwargs):
@@ -426,7 +430,7 @@ class TestStepAgainstRollStep:
         stream, twin_stream = RngStream(5), RngStream(5)
         areas = []
         for _ in range(p.total_steps):
-            rows, cols = widen(nonzero_box(st.phi.data, st.temp.data), (p.nx, p.ny), REACH)
+            rows, cols = widen(nonzero_box((st.phi.data, st.temp.data)), (p.nx, p.ny), REACH)
             areas.append((rows.stop - rows.start) * (cols.stop - cols.start))
             st = step(st, p, rng=stream)
             phi, temp = R.roll_step(
@@ -516,14 +520,14 @@ class TestNoRolledCopies:
             assert np.isfinite(free_energy(st.phi, m, p))
 
     @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
-    def test_a_step_makes_two_halo_copies_and_no_pad(self, monkeypatch, mode):
-        # one copy of phi with 2 rings and one of T with 1, on a small
-        # window and on the whole grid alike
+    def test_a_step_makes_one_pair_halo_copy_and_no_pad(self, monkeypatch, mode):
+        # one copy of phi and T together with 2 rings, on a small window and
+        # on the whole grid alike
         calls = []
 
-        def counting(a, window, k):
-            calls.append(k)
-            return lattice.halo(a, window, k)
+        def counting(planes, window, k):
+            calls.append((len(planes), k))
+            return lattice.halo(planes, window, k)
 
         def no_pad(*args, **kwargs):
             raise AssertionError("np.pad called")
@@ -536,7 +540,7 @@ class TestNoRolledCopies:
         for st in (initialize(p), full):
             calls.clear()
             step(st, p, rng=RngStream(1))
-            assert calls == [2, 1]
+            assert calls == [(2, 2)]
 
 
 class TestHeatModeDecay:
@@ -586,9 +590,9 @@ class TestNoGridScan:
             st = step(st, p, rng)
         shapes = []
 
-        def recording(a, b):
-            shapes.append((a.shape, b.shape))
-            return nonzero_box(a, b)
+        def recording(planes):
+            shapes.append(np.shape(planes))
+            return nonzero_box(planes)
 
         monkeypatch.setattr(solver, "nonzero_box", recording)
         monkeypatch.setattr(lattice, "nonzero_box", recording)
@@ -596,7 +600,7 @@ class TestNoGridScan:
         window = (rows.stop - rows.start, cols.stop - cols.start)
         assert window[0] * window[1] < n * n / 10
         out = step(st, p, rng)
-        assert shapes == [(window, window)]
+        assert shapes == [(2, *window)]
         shapes.clear()
         measure(out, p)
         assert shapes == []
@@ -738,7 +742,7 @@ class TestBlowup:
         phi, temp = st.phi.data, st.temp.data
         with pytest.raises(BlowupError) as exc_info:
             for _ in range(50):
-                rows, cols = widen(nonzero_box(st.phi.data, st.temp.data), (p.nx, p.ny), REACH)
+                rows, cols = widen(nonzero_box((st.phi.data, st.temp.data)), (p.nx, p.ny), REACH)
                 st = step(st, p)
                 phi, temp = R.roll_step(phi, temp, p, p.dx, p.dt)
         err = exc_info.value
@@ -747,6 +751,29 @@ class TestBlowup:
         assert (err.step, err.field_name) == (st.step + 1, name)
         assert err.cell == tuple(int(k) for k in np.argwhere(~np.isfinite(bad))[0])
         assert (rows.stop - rows.start) * (cols.stop - cols.start) < p.nx * p.ny
+
+    @pytest.mark.parametrize("rows", ["band", "spanned"])
+    @pytest.mark.parametrize("col", [0, -1])
+    def test_nan_in_temp_on_the_window_edge_reports_that_cell(self, rows, col):
+        # a NaN in T alone at the window's first or last column: the window
+        # spans the columns, so the halo wraps it into a column between two
+        # rows of the flat layout, which must be neither checked nor reported
+        p = small_params(nx=20, ny=24, seed_radius_sq=4.0 if rows == "band" else 60.0)
+        st = initialize(p)
+        temp = st.temp.data.copy()
+        temp[10, col] = np.nan
+        st = SimState(phi=st.phi, temp=Field(temp, p.dx))
+        window = widen(st.box, (p.nx, p.ny), REACH)
+        assert window[1] == slice(0, p.ny)
+        assert (window[0] == slice(0, p.nx)) == (rows == "spanned")
+        with pytest.raises(BlowupError) as exc_info:
+            step(st, p)
+        phi, temp = R.roll_step(st.phi.data, st.temp.data, p, p.dx, p.dt)
+        name, bad = ("phi", phi) if not np.isfinite(phi).all() else ("temp", temp)
+        err = exc_info.value
+        assert (err.step, err.field_name) == (1, name)
+        assert err.cell == tuple(int(k) for k in np.argwhere(~np.isfinite(bad))[0])
+        assert err.cell == (10, col % p.ny)
 
     def test_run_emits_last_good_state_before_failing(self):
         p = small_params(nx=16, ny=16, dt=1.0, total_steps=400,
@@ -758,6 +785,23 @@ class TestBlowup:
         assert final.step == exc_info.value.step - 1
         assert np.isfinite(final.phi.data).all()
         assert np.isfinite(final.temp.data).all()
+
+
+class TestNoWarnings:
+    @pytest.mark.parametrize("variant", ["noisy", "appendix-bug-centered"])
+    def test_healthy_steps_raise_no_runtime_warning(self, variant):
+        # the positions between the window's rows hold values of no cell;
+        # they must stay finite too, from the seed to the whole-grid window
+        p = SimParams(nx=40, ny=47, noise_amp=0.01, seed_radius_sq=4.0, j_mode=6,
+                      replicate_appendix_bug=variant != "noisy",
+                      divisor_mode=PAPER_CODE if variant == "noisy" else CENTERED)
+        st, rng = initialize(p), RngStream(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(40):
+                st = step(st, p, rng)
+            measure(st, p)
+        assert st.box == (slice(0, p.nx), slice(0, p.ny))
 
 
 class TestRunLifecycle:
