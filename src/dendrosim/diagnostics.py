@@ -142,30 +142,23 @@ def conservation_sum(state, latent_heat: float) -> float:
 
 
 def free_energy(phi: Field, m_field: Field, p) -> float:
-    """Discrete free energy over the cells of m_field: sum of the well
-    density plus (eps^2/2)|grad phi|^2, with eps from the model fields of p
-    (a SimParams).
+    """Discrete free energy: sum of the well density plus (eps^2/2)|grad phi|^2,
+    with eps from the model fields of p (a SimParams).
 
-    phi is either a field of m_field's extents, whose gradient is then
-    periodic, or those cells with one ring of their grid neighbours (a
-    lattice.halo cut, one cell wider on each side), whose gradient reads the
-    ring.  The gradients are centered-mode whatever the solver's divisor
-    mode, so the diagnostic is comparable across configurations.
+    The gradients are periodic and centered-mode whatever the solver's
+    divisor mode, so the diagnostic is comparable across configurations.
     """
     nx, ny = m_field.nx, m_field.ny
-    if (phi.nx, phi.ny) == (nx, ny):
-        ring = halo((phi.data,), np.s_[:, :], 1)[0]
-    elif (phi.nx, phi.ny) == (nx + 2, ny + 2):
-        ring = phi.data
-    else:
-        raise ValueError("phi must have the extents of the m field, or one ring more")
+    if (phi.nx, phi.ny) != (nx, ny):
+        raise ValueError("phi and m fields must have identical extents")
     pitch = ny + 2
     span = slice(pitch + 1, pitch + 1 + nx * pitch - 2)
-    gx, gy = gradient_arrays(ring.reshape(-1), pitch, span, phi.dx, CENTERED)
+    ring = halo((phi.data,), np.s_[:, :], 1).reshape(-1)
+    gx, gy = gradient_arrays(ring, pitch, span, phi.dx, CENTERED)
     eps = epsilon_of_phase(anisotropy_phase(interface_angle(gx, gy), p), p)
     bend = 0.5 * eps * eps * (gx * gx + gy * gy)
     del gx, gy, eps
-    density = double_well(ring[1:-1, 1:-1], m_field.data) + cell_view(bend, pitch, ny)
+    density = double_well(phi.data, m_field.data) + cell_view(bend, pitch, ny)
     return lattice_sum(Field(density, phi.dx))
 
 
@@ -173,14 +166,14 @@ def measure(state, p) -> DiagnosticsRecord:
     """All per-sample scalars for one state of a run with SimParams p.
 
     The m field and the sums of conservation_sum and free_energy are taken
-    on the state's box widened by lattice.REACH (lattice.widen), and
-    free_energy's gradient on that window with a ring of its grid
-    neighbours.  They give the bits of the whole-grid calls: every cell
-    outside the window is +-0.0 with zero gradients, so each cell's density
-    is that of the grid, and lattice_sum is correctly rounded, so the sum
-    over the window equals the sum over the grid.  The exception is a cell
-    within lattice_sum's overflow margin, which depends on the cell count:
-    there both sums fall back to numpy's and may differ.
+    on the state's box widened by lattice.REACH (lattice.widen), and give
+    the bits of the whole-grid calls: every cell outside the window, and
+    every wrapped neighbour of a cell in it, is +-0.0 with zero gradients,
+    so each cell's density is that of the grid, and lattice_sum is
+    correctly rounded, so the sum over the window equals the sum over the
+    grid.  The exception is a cell within lattice_sum's overflow margin,
+    which depends on the cell count: there both sums fall back to numpy's
+    and may differ.
     """
     phi, temp = state.phi, state.temp
     window = widen(state.box, phi.data.shape, REACH)
@@ -196,6 +189,6 @@ def measure(state, p) -> DiagnosticsRecord:
         tip_py=tip_extent(phi, "+y"),
         tip_my=tip_extent(phi, "-y"),
         conservation_sum=conservation_sum(cut, p.latent_heat),
-        free_energy=free_energy(Field(halo((phi.data,), window, 1)[0], phi.dx), m_field, p),
+        free_energy=free_energy(cut.phi, m_field, p),
         arm_count=arm_count(phi),
     )

@@ -95,24 +95,24 @@ def halo(planes, window: tuple[slice, slice], k: int) -> np.ndarray:
 
 Box = tuple[slice, slice]
 
-_EDGES = (np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1])
+_EDGES = (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1])
 
 
 def nonzero_box(planes) -> Box | None:
     """Smallest (row slice, column slice) box holding every nonzero cell of
     the planes of `planes`, an array of shape (k, nx, ny) or a sequence of
-    equal-shape 2-D arrays (stacked into one first), or None when they are
-    all zero.
+    equal-shape 2-D arrays, or None when they are all zero.
 
     NaN cells count as nonzero and -0.0 cells as zero.  The four edge lines
     are read first: when each holds a nonzero cell the box is the whole
     plane, and no other cell is read.
     """
-    planes = np.asarray(planes)
-    _, nx, ny = planes.shape
-    if all(planes[e].any() for e in _EDGES):
+    nx, ny = planes[0].shape
+    if all(any(p[e].any() for p in planes) for e in _EDGES):
         return slice(0, nx), slice(0, ny)
-    live = (planes != 0.0).any(axis=0)
+    live = planes[0] != 0.0
+    for p in planes[1:]:
+        live |= p != 0.0
     rows = np.flatnonzero(live.any(axis=1))
     if rows.size == 0:
         return None

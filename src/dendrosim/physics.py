@@ -24,24 +24,22 @@ class RngStream:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform_sym(self, shape, rows=slice(None), cols=slice(None), out=None):
-        """Rows `rows` (a step-1 slice of the first axis) and columns `cols`
-        (a slice of the last) of an array of `shape` uniform values in
-        [-0.5, 0.5]; by default the whole array.  With `out` the values are
-        written there and `out` is returned.
+    def uniform_sym(self, shape, rows=slice(None)):
+        """Rows `rows` (a step-1 slice of the first axis) of an array of `shape`
+        uniform values in [-0.5, 0.5]; by default the whole array.
 
         The stream advances past the whole array either way: the rows before
         and after the band are skipped with PCG64.advance, one output per
-        value, and the band draws every column, so the band equals the same
-        rows of a whole-array draw and every later draw is unchanged.
+        value, so the band equals the same rows of a whole-array draw and
+        every later draw is unchanged.
         """
         start, stop, _ = rows.indices(shape[0])
         row_size = math.prod(shape[1:])
         bits = self._gen.bit_generator
         bits.advance(start * row_size)
-        band = self._gen.random((stop - start, *shape[1:]))
+        band = self._gen.random((stop - start, *shape[1:])) - 0.5
         bits.advance((shape[0] - stop) * row_size)
-        return np.subtract(band[..., cols], 0.5, out=out)
+        return band
 
 
 def interface_angle(gx, gy):

@@ -324,13 +324,15 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
         # the window's rows of a whole-grid draw, so the stream does not
         # depend on the window, laid out as the halo's rows: the window's
         # cell (i, j) is band[i, j + 2]
+        drawn = rng.uniform_sym(shape, window[0])
         c0, c1 = window[1].start, window[1].stop
         if c1 - c0 == shape[1]:
             band = np.zeros((rows - 4, pitch))
-            rng.uniform_sym(shape, window[0], out=band[:, 2:-2])
+            band[:, 2:-2] = drawn
         else:
-            band = rng.uniform_sym(shape, window[0], slice(c0 - 2, c1 + 2))
+            band = drawn[:, c0 - 2:c1 + 2]
         chi = band.reshape(-1)[2:2 + size]
+        del drawn, band
 
     div = divisors(dx, mode)
     dt_over_tau = p.dt / p.tau

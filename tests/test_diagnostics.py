@@ -282,6 +282,8 @@ class TestFreeEnergy:
         p = SimParams()
         with pytest.raises(ValueError, match="extents"):
             free_energy(Field.zeros(8, 8, DX), Field.zeros(8, 9, DX), p)
+        with pytest.raises(ValueError, match="extents"):
+            free_energy(Field.zeros(10, 10, DX), Field.zeros(8, 8, DX), p)
 
     def test_gradient_term_is_positive(self):
         p = SimParams()

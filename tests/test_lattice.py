@@ -243,6 +243,7 @@ class TestSupportWindow:
             pair.append(a)
         box = nonzero_box(pair)
         assert box == R.naive_nonzero_box(*pair)
+        assert nonzero_box(np.stack(pair)) == box
         assert widen(box, (nx, ny), reach) == R.naive_window(*pair, reach)
 
 

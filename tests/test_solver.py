@@ -38,12 +38,9 @@ class FixedNoise:
     def __init__(self, chi):
         self.chi = chi
 
-    def uniform_sym(self, shape, rows=slice(None), cols=slice(None), out=None):
+    def uniform_sym(self, shape, rows=slice(None)):
         assert shape == self.chi.shape
-        if out is None:
-            return self.chi[rows][..., cols]
-        out[...] = self.chi[rows][..., cols]
-        return out
+        return self.chi[rows]
 
 
 def small_params(**kwargs):
