@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 runtime failure (blow-up, I/O, bad snapshot),
 2 usage or config error.  The handlers raise; main alone turns ConfigError
-into 2 and OSError or SnapshotFormatError into 1.
+into 2 and OSError, MemoryError (a grid too large to allocate) or
+SnapshotFormatError into 1.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ def _collect_overrides(args) -> dict:
         key = key.strip()
         overrides[key] = parse_value(key, value)
     return overrides
+
+
+def _reason(exc: Exception) -> str:
+    """The message of `exc`, or its class name when it has none (a bare
+    MemoryError)."""
+    return str(exc) or type(exc).__name__
 
 
 def _execute_run(params: SimParams, outdir: Path):
@@ -147,8 +154,8 @@ def cmd_sweep(args) -> int:
         tok, params = item
         try:
             return _execute_run(params, outroot / f"{key}={tok}")
-        except OSError as exc:
-            print(f"error: {key}={tok}: {exc}", file=sys.stderr)
+        except (OSError, MemoryError) as exc:
+            print(f"error: {key}={tok}: {_reason(exc)}", file=sys.stderr)
             return 1, None
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -250,8 +257,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, SnapshotFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError, SnapshotFormatError) as exc:
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import CENTERED, REACH, Field, cell_view, gradient_arrays, halo, lattice_sum, widen
+from .lattice import CENTERED, Field, cell_view, gradient_arrays, halo, lattice_sum, widen
 from .physics import (
     anisotropy_phase,
     double_well,
@@ -152,9 +152,8 @@ def free_energy(phi: Field, m_field: Field, p) -> float:
     if (phi.nx, phi.ny) != (nx, ny):
         raise ValueError("phi and m fields must have identical extents")
     pitch = ny + 2
-    span = slice(pitch + 1, pitch + 1 + nx * pitch - 2)
     ring = halo((phi.data,), np.s_[:, :], 1).reshape(-1)
-    gx, gy = gradient_arrays(ring, pitch, span, phi.dx, CENTERED)
+    gx, gy = gradient_arrays(ring, pitch, phi.dx, CENTERED)
     eps = epsilon_of_phase(anisotropy_phase(interface_angle(gx, gy), p), p)
     bend = 0.5 * eps * eps * (gx * gx + gy * gy)
     del gx, gy, eps
@@ -176,7 +175,7 @@ def measure(state, p) -> DiagnosticsRecord:
     and may differ.
     """
     phi, temp = state.phi, state.temp
-    window = widen(state.box, phi.data.shape, REACH)
+    window = widen(state.box, phi.data.shape)
     cut = replace(state, phi=Field(phi.data[window], phi.dx),
                   temp=Field(temp.data[window], temp.dx))
     m_field = Field(m_of_temperature(cut.temp.data, p), temp.dx)

@@ -107,8 +107,8 @@ def write_snapshot(field: Field, path, name: str = "phi", step: int = 0, dt: flo
     header = SNAPSHOT_MAGIC + (
         f"nx {field.nx}\n"
         f"ny {field.ny}\n"
-        f"dx {field.dx!r}\n"
-        f"dt {dt!r}\n"
+        f"dx {float(field.dx)!r}\n"
+        f"dt {float(dt)!r}\n"
         f"step {step}\n"
         f"field {name}\n"
         "\n"

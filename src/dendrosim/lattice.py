@@ -2,11 +2,12 @@
 
 Fields are stored as C-contiguous float64 arrays of shape (nx, ny): the first
 index is x, the second (fast) index is y.  Stencils run on the flat view of a
-`halo` copy, whose rows are `pitch` cells long: a span of flat indices is one
-contiguous slice, and its neighbours are the same span moved by +-1 (y),
-+-pitch (x) or both.  A result on a span keeps the rows at that pitch, so the
-positions past the ends of the window's rows hold values of no cell;
-`cell_view` drops them.
+`halo` copy, whose rows are `pitch` cells long: the neighbours of flat
+position t are t +- 1 (y), t +- pitch (x) and both.  A stencil works in valid
+mode: it computes at every position of its input whose 8 neighbours lie in
+the input, which is the input less `pitch + 1` positions at each end, so its
+result is the input less one ring, still at that pitch.  The positions past
+the ends of the rows hold values of no cell; `cell_view` drops them.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ class Field:
             raise ValueError(
                 f"grid extents must be >= 3, got {'x'.join(map(str, self.data.shape))}"
             )
-        if not 0.0 < self.dx < math.inf:
-            raise ValueError(f"cell spacing must be positive and finite, got dx={self.dx}")
+        if isinstance(self.dx, bool) or not 0.0 < self.dx < math.inf:
+            raise ValueError(f"cell spacing must be positive and finite, got dx={self.dx!r}")
 
     @property
     def nx(self) -> int:
@@ -126,19 +127,19 @@ def nonzero_box(planes) -> Box | None:
 REACH = 2
 
 
-def widen(box: Box | None, shape: tuple[int, int], reach: int) -> Box:
-    """`box` widened by `reach` cells on each side, within a grid of `shape`.
+def widen(box: Box | None, shape: tuple[int, int]) -> Box:
+    """`box` widened by REACH cells on each side, within a grid of `shape`.
 
-    An axis where the widened box, with a halo of `reach` more cells on each
+    An axis where the widened box, with a halo of REACH more cells on each
     side, would pass the grid's edge gets its full extent instead.  So a
     halo wraps only on an axis its window spans, and when both axes are full
     the window is the whole grid.  No box (an all-zero grid) gives a window
-    of 3 cells, the least a Field holds, `reach` cells from the origin.
+    of 3 cells, the least a Field holds, REACH cells from the origin.
     """
-    spans = ([(reach, reach + 3)] * 2 if box is None
-             else [(s.start - reach, s.stop + reach) for s in box])
+    spans = ([(REACH, REACH + 3)] * 2 if box is None
+             else [(s.start - REACH, s.stop + REACH) for s in box])
     return tuple(
-        slice(lo, hi) if lo >= reach and hi <= n - reach else slice(0, n)
+        slice(lo, hi) if lo >= REACH and hi <= n - REACH else slice(0, n)
         for (lo, hi), n in zip(spans, shape)
     )
 
@@ -150,33 +151,31 @@ def cell_view(a: np.ndarray, pitch: int, cols: int) -> np.ndarray:
     return np.ndarray((rows, cols), a.dtype, a, strides=(pitch * a.itemsize, a.itemsize))
 
 
-def gradient_arrays(f: np.ndarray, pitch: int, span: slice, dx: float,
+def gradient_arrays(f: np.ndarray, pitch: int, dx: float,
                     mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences (df/dx, df/dy) at the flat positions `span` of
-    `f`, rows of `pitch` cells laid end to end; see `divisors` for the two
-    modes.  The span must keep one row and one cell clear of both ends of f."""
-    lo, hi = span.start, span.stop
+    """Central differences (df/dx, df/dy) of `f`, rows of `pitch` cells laid
+    end to end, in valid mode (see the module docstring); see `divisors`
+    for the two modes."""
     div = divisors(dx, mode)
-    gx = (f[lo + pitch:hi + pitch] - f[lo - pitch:hi - pitch]) / div
-    gy = (f[lo + 1:hi + 1] - f[lo - 1:hi - 1]) / div
+    gx = (f[2 * pitch + 1:-1] - f[1:-2 * pitch - 1]) / div
+    gy = (f[pitch + 2:-pitch] - f[pitch:-pitch - 2]) / div
     return gx, gy
 
 
-def laplacian9_arrays(f: np.ndarray, pitch: int, span: slice, dx: float) -> np.ndarray:
-    """Nine-point Laplacian [edges 2, diagonals 1, center -12] / (3 dx^2) at
-    `span`, laid out as gradient_arrays; on a (k, n) `f` it is one call for
-    the k fields f[0], ..., f[k - 1].
+def laplacian9_arrays(f: np.ndarray, pitch: int, dx: float) -> np.ndarray:
+    """Nine-point Laplacian [edges 2, diagonals 1, center -12] / (3 dx^2) of
+    `f`, laid out and in valid mode as gradient_arrays; on a (k, n) `f` it
+    is one call for the k fields f[0], ..., f[k - 1].
 
     Neighbor contributions are accumulated in opposite-pair order, which
     keeps the stencil bitwise equivariant under the square's symmetries (pair
     sums only swap or commute under D4).
     """
-    lo, hi = span.start, span.stop
-    xp, xm = f[..., lo + pitch:hi + pitch], f[..., lo - pitch:hi - pitch]
-    yp, ym = f[..., lo + 1:hi + 1], f[..., lo - 1:hi - 1]
-    pp, mm = f[..., lo + pitch + 1:hi + pitch + 1], f[..., lo - pitch - 1:hi - pitch - 1]
-    pm, mp = f[..., lo + pitch - 1:hi + pitch - 1], f[..., lo - pitch + 1:hi - pitch + 1]
-    c = f[..., lo:hi]
+    xp, xm = f[..., 2 * pitch + 1:-1], f[..., 1:-2 * pitch - 1]
+    yp, ym = f[..., pitch + 2:-pitch], f[..., pitch:-pitch - 2]
+    pp, mm = f[..., 2 * pitch + 2:], f[..., :-2 * pitch - 2]
+    pm, mp = f[..., 2 * pitch:-2], f[..., 2:-2 * pitch]
+    c = f[..., pitch + 1:-pitch - 1]
     return (2.0 * ((xp + xm) + (yp + ym)) + ((pp + mm) + (pm + mp)) - 12.0 * c) / (3.0 * dx * dx)
 
 

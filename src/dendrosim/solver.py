@@ -246,20 +246,18 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     window's halo would pass an edge the window spans that axis
     (lattice.widen), and the whole grid is the widest window.
 
-    Pass 1 copies the window of phi and T once, together, with 2 rings of
-    their grid neighbours (lattice.halo): a (2, R, C) buffer, C the window's
-    columns + 4.  Every stencil reads contiguous slices of the buffer's flat
-    view, where position t is halo row t // C, column t % C, and its
-    neighbours are t +- 1, t +- C and t +- C +- 1.  grad(phi), the angle,
-    eps, eps' and the flux product eps*eps'*grad(phi) cover the window plus
-    one ring, the flat span from halo cell (1, 1) to (R - 2, C - 2); the
+    Pass 1 copies the window of phi and T once, together, with REACH = 2
+    rings of their grid neighbours (lattice.halo): a (2, R, C) buffer, C the
+    window's columns + 4.  Every stencil reads contiguous slices of the
+    buffer's flat view, in valid mode, so its result is its input less one
+    ring (see lattice).  grad(phi), the angle, eps, eps' and the flux
+    product eps*eps'*grad(phi) cover the window plus one ring; the
     Laplacians of phi and T (one call on the pair), grad(eps^2), the flux
-    differences and the noise cover the window, the span from (2, 2) to
-    (R - 3, C - 3).  Each span keeps the rows at pitch C, so it also holds
-    the positions between the ends of its rows.  Those are no cells: their
-    stencils wrap from one row's end to the next row's start, but read only
-    finite halo values (the noise there is 0 when the window spans the
-    columns), no cell ever reads them, and they are dropped when the result
+    differences and the noise cover the window.  Every array keeps the rows
+    at pitch C, so it also holds the positions between the ends of its rows.
+    Those are no cells: their stencils wrap from one row's end to the next
+    row's start, but read only finite halo values (the noise there is 0), no
+    cell ever reads them, and they are dropped when the result
     is written.  Pass 2 is purely elementwise on those arrays:
 
         term1 =  d/dy [eps eps' dphi/dx]
@@ -286,17 +284,15 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
             raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     dx, mode = p.dx, p.divisor_mode
     shape = state.phi.data.shape
-    window = widen(state.box, shape, REACH)
-    h = halo((state.phi.data, state.temp.data), window, 2)
+    window = widen(state.box, shape)
+    h = halo((state.phi.data, state.temp.data), window, REACH)
     _, rows, pitch = h.shape
     f = h.reshape(2, -1)
-    size = (rows - 4) * pitch - 4
-    ring = slice(pitch + 1, (rows - 1) * pitch - 1)
-    cells = slice(2 * pitch + 2, 2 * pitch + 2 + size)
-    inner = slice(pitch + 1, pitch + 1 + size)  # `cells` in an array on `ring`
-    phi, temp = f[:, cells]
-    gx, gy = gradient_arrays(f[0], pitch, ring, dx, mode)
-    lap_phi, lap_t = laplacian9_arrays(f, pitch, cells, dx)
+    inset = slice(pitch + 1, -pitch - 1)  # a flat array less one ring
+    ring = f[:, inset]  # the window and one ring
+    phi, temp = ring[:, inset]
+    gx, gy = gradient_arrays(f[0], pitch, dx, mode)
+    lap_phi, lap_t = laplacian9_arrays(ring, pitch, dx)
 
     eps, eps_prime = epsilon_of_theta(interface_angle(gx, gy), p)
     eps2 = eps * eps
@@ -308,44 +304,38 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
 
     if p.replicate_appendix_bug:
         # stale scalars from the grid's last cell, whatever the window: its
-        # eps^2 gradient reads phi at most 2 cells away, in this 5x5 block,
-        # whose 3x3 centre is the flat span 6:19 and the cell itself 6 of it
+        # eps^2 gradient reads phi at most 2 cells away, in this 5x5 block
         block = state.phi.data[np.ix_(np.arange(-3, 2) % p.nx, np.arange(-3, 2) % p.ny)]
-        bx, by = gradient_arrays(block.ravel(), 5, slice(6, 19), dx, mode)
+        bx, by = gradient_arrays(block.ravel(), 5, dx, mode)
         eps_b, _ = epsilon_of_theta(interface_angle(bx, by), p)
-        ge2x, ge2y = (g[0] for g in gradient_arrays(eps_b * eps_b, 5, slice(6, 7), dx, mode))
+        ge2x, ge2y = (g[0] for g in gradient_arrays(eps_b * eps_b, 5, dx, mode))
     else:
-        ge2x, ge2y = gradient_arrays(eps2, pitch, inner, dx, mode)
+        ge2x, ge2y = gradient_arrays(eps2, pitch, dx, mode)
 
     chi = None
     if p.noise_amp > 0.0:
         if rng is None:
             raise ValueError("noise_amp > 0 requires an RngStream")
         # the window's rows of a whole-grid draw, so the stream does not
-        # depend on the window, laid out as the halo's rows: the window's
-        # cell (i, j) is band[i, j + 2]
+        # depend on the window; its cells laid out as the halo's rows, with
+        # zeros between them
         drawn = rng.uniform_sym(shape, window[0])
-        c0, c1 = window[1].start, window[1].stop
-        if c1 - c0 == shape[1]:
-            band = np.zeros((rows - 4, pitch))
-            band[:, 2:-2] = drawn
-        else:
-            band = drawn[:, c0 - 2:c1 + 2]
-        chi = band.reshape(-1)[2:2 + size]
+        band = np.zeros((rows - 4, pitch))
+        band[:, 2:-2] = drawn[:, window[1]]
+        chi = band.reshape(-1)[2:-2]
         del drawn, band
 
     div = divisors(dx, mode)
     dt_over_tau = p.dt / p.tau
-    lo, hi = inner.start, inner.stop
-    term1 = (qx[lo + 1:hi + 1] - qx[lo - 1:hi - 1]) / div
-    term2 = -(qy[lo + pitch:hi + pitch] - qy[lo - pitch:hi - pitch]) / div
+    term1 = (qx[pitch + 2:-pitch] - qx[pitch:-pitch - 2]) / div
+    term2 = -(qy[2 * pitch + 1:-1] - qy[1:-2 * pitch - 1]) / div
     # the later temporaries live to the end of the step: freed early, they
     # leave the top of the heap free, and the allocator returns it to the
     # system at every step, to fault it back in at the next
     del qx, qy
-    term3 = ge2x * gx[inner] + ge2y * gy[inner]
+    term3 = ge2x * gx[inset] + ge2y * gy[inset]
     m = m_of_temperature(temp, p)
-    rhs = (term1 + term2) + term3 + (eps2[inner] * lap_phi + reaction_term(phi, m))
+    rhs = (term1 + term2) + term3 + (eps2[inset] * lap_phi + reaction_term(phi, m))
     if chi is not None:
         rhs = rhs + noise_term(phi, p.noise_amp, chi)
         del chi

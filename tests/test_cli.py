@@ -67,6 +67,16 @@ class TestRun:
         assert manifest["params"]["nx"] == 24
         assert "dendrosim" in manifest["versions"]
 
+    def test_grid_too_large_to_allocate_exits_1(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 7.28 PiB for an array with shape (1000000, 1000000)"
+
+        def no_memory(params, **sinks):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(dendrosim.cli, "run", no_memory)
+        assert main(["run", *BASE, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_success_summary_printed(self, tmp_path, capsys):
         out = tmp_path / "o"
         main(["run", *BASE, "--out", str(out)])
@@ -284,6 +294,24 @@ class TestSweep:
         for value in ("0.01", "0.02", "0.03"):
             sub = f"delta={value}"
             assert tree_bytes(seq / sub) == tree_bytes(par / sub)
+
+    def test_run_out_of_memory_is_a_failed_row(self, tmp_path, capsys, monkeypatch):
+        def no_memory(params, **sinks):
+            if params.latent_heat == 2.0:
+                raise MemoryError
+            return real_run(params, **sinks)
+
+        real_run = dendrosim.cli.run
+        monkeypatch.setattr(dendrosim.cli, "run", no_memory)
+        out = tmp_path / "s"
+        assert main(["sweep", *BASE, "--param", "latent_heat",
+                     "--values", "1.0,2.0", "--out", str(out)]) == 1
+        summary = (out / "sweep_summary.csv").read_text().splitlines()
+        assert summary[1].startswith("1.0,ok,")
+        assert summary[2] == "2.0,failed,nan,nan,nan,nan,nan,nan"
+        captured = capsys.readouterr()
+        assert "error: latent_heat=2.0: MemoryError" in captured.err
+        assert "1/2 runs ok" in captured.out
 
     def test_unknown_parameter_rejected_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "s"

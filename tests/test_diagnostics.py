@@ -19,7 +19,7 @@ from dendrosim.diagnostics import (
     solid_fraction,
     tip_extent,
 )
-from dendrosim.lattice import CENTERED, PAPER_CODE, REACH, Field, nonzero_box, widen
+from dendrosim.lattice import CENTERED, PAPER_CODE, Field, nonzero_box, widen
 from dendrosim.physics import RngStream, double_well, m_of_temperature
 from dendrosim.solver import SimParams, SimState, initialize, step
 
@@ -431,7 +431,7 @@ class TestWindowedMeasure:
         p = SimParams(nx=40, ny=56, noise_amp=0.01, rng_seed=3, seed_radius_sq=6.0)
         spans = set()
         for st in run_states(p, 40):
-            rows, cols = widen(nonzero_box((st.phi.data, st.temp.data)), (p.nx, p.ny), REACH)
+            rows, cols = widen(nonzero_box((st.phi.data, st.temp.data)), (p.nx, p.ny))
             spans.add((rows.stop - rows.start == p.nx, cols.stop - cols.start == p.ny))
             assert_same_record(st, p)
         # small windows, windows spanning one axis, and spanning both
@@ -481,7 +481,7 @@ class TestWindowedMeasure:
         p = SimParams(nx=shape[0], ny=shape[1], seed_radius_sq=0.0)
         zeros = Field.zeros(*shape, p.dx)
         st = SimState(phi=zeros, temp=zeros)
-        assert widen(nonzero_box((zeros.data, zeros.data)), shape, REACH) == window
+        assert widen(nonzero_box((zeros.data, zeros.data)), shape) == window
         assert measure(st, p).free_energy == 0.0
         assert_same_record(st, p)
 

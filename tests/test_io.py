@@ -213,6 +213,15 @@ class TestSnapshot:
         assert (g.nx, g.ny, g.dx) == (f.nx, f.ny, f.dx) == (3, 4, 0.05)
         assert meta == {"step": 7, "dt": 1e-4, "field": "phi"}
 
+    def test_numpy_scalar_spacing_and_step_round_trip(self, tmp_path):
+        f = Field(np.ones((3, 4)), np.float64(0.03))
+        path = tmp_path / "f.pfds"
+        write_snapshot(f, path, dt=np.float64(1e-4))
+        assert b"dx 0.03\ndt 0.0001\n" in path.read_bytes()
+        g, meta = read_snapshot(path)
+        assert (g.dx, meta["dt"]) == (0.03, 1e-4)
+        assert type(g.dx) is float and type(meta["dt"]) is float
+
     def test_random_field_round_trips_bitwise(self, tmp_path):
         f = Field(np.random.default_rng(0).normal(size=(17, 9)), 0.25)
         path = tmp_path / "f.pfds"

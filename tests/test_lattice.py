@@ -29,24 +29,18 @@ def wrapped(a):
     return np.pad(a, 1, mode="wrap")
 
 
-def inner_span(h):
-    """The flat span of `h`'s cells less its outer ring, and `h`'s pitch."""
-    rows, pitch = h.shape
-    return slice(pitch + 1, (rows - 1) * pitch - 1), pitch
-
-
 def gradient2d(h, dx, mode):
-    """gradient_arrays on `h` less its outer ring, as 2-D arrays."""
-    span, pitch = inner_span(h)
+    """gradient_arrays on `h`, as 2-D arrays: `h` less its outer ring."""
+    pitch = h.shape[1]
     return tuple(np.ascontiguousarray(cell_view(g, pitch, pitch - 2))
-                 for g in gradient_arrays(h.ravel(), pitch, span, dx, mode))
+                 for g in gradient_arrays(h.ravel(), pitch, dx, mode))
 
 
 def laplacian2d(h, dx):
-    """laplacian9_arrays on `h` less its outer ring, as a 2-D array."""
-    span, pitch = inner_span(h)
+    """laplacian9_arrays on `h`, as a 2-D array: `h` less its outer ring."""
+    pitch = h.shape[1]
     return np.ascontiguousarray(
-        cell_view(laplacian9_arrays(h.ravel(), pitch, span, dx), pitch, pitch - 2))
+        cell_view(laplacian9_arrays(h.ravel(), pitch, dx), pitch, pitch - 2))
 
 
 def random_field(nx, ny, dx=0.03, seed=0):
@@ -82,6 +76,8 @@ class TestField:
             Field.zeros(8, 8, 0.0)
         with pytest.raises(ValueError, match="spacing"):
             Field.zeros(8, 8, -0.1)
+        with pytest.raises(ValueError, match="spacing"):
+            Field.zeros(8, 8, True)
 
     def test_from_array_casts_to_contiguous_float64(self):
         f = Field(np.arange(9, dtype=np.int32).reshape(3, 3).T, 0.1)
@@ -159,10 +155,10 @@ class TestSupportWindow:
             a[i, j] = 1.0
         for i, j in b_cells:
             b[i, j] = -2.5
-        return self.widened(a, b, REACH)
+        return self.widened(a, b)
 
-    def widened(self, a, b, reach):
-        return widen(nonzero_box((a, b)), self.SHAPE, reach)
+    def widened(self, a, b):
+        return widen(nonzero_box((a, b)), self.SHAPE)
 
     def test_all_zero_pair_is_three_by_three_reach_from_the_origin(self):
         assert self.window() == (slice(2, 5), slice(2, 5))
@@ -174,7 +170,7 @@ class TestSupportWindow:
     ])
     def test_all_zero_pair_spans_an_axis_too_short_for_its_halo(self, shape, expected):
         zeros = np.zeros(shape)
-        assert widen(nonzero_box((zeros, zeros)), shape, REACH) == expected
+        assert widen(nonzero_box((zeros, zeros)), shape) == expected
 
     def test_centred_blob_widened_by_reach(self):
         assert self.window([(9, 14), (10, 16)]) == (slice(7, 13), slice(12, 19))
@@ -212,15 +208,15 @@ class TestSupportWindow:
     def test_nan_counts_as_nonzero(self):
         a = np.zeros(self.SHAPE)
         a[9, 14] = np.nan
-        assert self.widened(a, np.zeros(self.SHAPE), REACH) == (slice(7, 12), slice(12, 17))
+        assert self.widened(a, np.zeros(self.SHAPE)) == (slice(7, 12), slice(12, 17))
         a[0, 14] = np.nan
-        assert self.widened(np.zeros(self.SHAPE), a, REACH) == (slice(0, 20), slice(12, 17))
+        assert self.widened(np.zeros(self.SHAPE), a) == (slice(0, 20), slice(12, 17))
 
-    def test_reach_zero_is_the_box_itself(self):
+    def test_box_of_one_cell_is_that_cell(self):
         a = np.zeros(self.SHAPE)
         a[9, 14] = 1.0
-        assert self.widened(a, np.zeros(self.SHAPE), 0) == (slice(9, 10), slice(14, 15))
-        assert self.widened(np.zeros(self.SHAPE), a, 0) == (slice(9, 10), slice(14, 15))
+        assert nonzero_box((a, np.zeros(self.SHAPE))) == (slice(9, 10), slice(14, 15))
+        assert nonzero_box((np.zeros(self.SHAPE), a)) == (slice(9, 10), slice(14, 15))
 
     def test_cells_on_every_edge_give_the_whole_box(self):
         a = np.zeros(self.SHAPE)
@@ -230,9 +226,8 @@ class TestSupportWindow:
         b[12, 0] = -0.0
         assert nonzero_box((a, b)) == (slice(0, 20), slice(3, 30))
 
-    @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**32 - 1),
-           st.integers(0, 4))
-    def test_box_and_window_match_the_longhand(self, nx, ny, seed, reach):
+    @given(st.integers(3, 12), st.integers(3, 12), st.integers(0, 2**32 - 1))
+    def test_box_and_window_match_the_longhand(self, nx, ny, seed):
         rng = np.random.default_rng(seed)
         pair = []
         for _ in range(2):
@@ -244,7 +239,7 @@ class TestSupportWindow:
         box = nonzero_box(pair)
         assert box == R.naive_nonzero_box(*pair)
         assert nonzero_box(np.stack(pair)) == box
-        assert widen(box, (nx, ny), reach) == R.naive_window(*pair, reach)
+        assert widen(box, (nx, ny)) == R.naive_window(*pair, REACH)
 
 
 class TestGradient:
@@ -314,12 +309,25 @@ class TestValidMode:
                 assert got.tobytes() == want[inner].tobytes()
         assert laplacian2d(a, 0.03).tobytes() == R.roll_laplacian9(a, 0.03)[inner].tobytes()
 
+    @pytest.mark.parametrize("pitch, n", [(3, 9), (5, 13), (5, 25), (7, 40)])
+    def test_result_drops_pitch_plus_one_at_each_end(self, pitch, n):
+        # 9 values at pitch 3 and 13 at pitch 5 are the least with a result
+        f = np.random.default_rng(pitch).normal(size=(2, n))
+        size = n - 2 * (pitch + 1)
+        for mode in (PAPER_CODE, CENTERED):
+            for g in gradient_arrays(f[0], pitch, 0.03, mode):
+                assert g.shape == (size,)
+        lap = laplacian9_arrays(f, pitch, 0.03)
+        assert lap.shape == (2, size)
+        for got, plane in zip(lap, f):
+            assert got.tobytes() == laplacian9_arrays(plane, pitch, 0.03).tobytes()
+
 
 class TestFlatStencils:
-    """The step's layout: two fields copied together with 2 rings, the
-    gradient taken on the window plus one ring, the pair Laplacian on the
-    window, both read back through cell_view and matched against the roll
-    formulas, bit for bit."""
+    """The step's layout: two fields copied together with REACH rings, the
+    gradient taken on the copy, which gives the window plus one ring, and
+    the pair Laplacian on that ring, which gives the window, both read back
+    through cell_view and matched against the roll formulas, bit for bit."""
 
     CASES = [
         ((12, 15), np.s_[2:6, 2:5]),  # 2 cells from the top and left edges
@@ -338,20 +346,16 @@ class TestFlatStencils:
     def test_match_the_roll_formulas_bitwise(self, shape, window, seed):
         rng = np.random.default_rng(seed)
         pair = rng.normal(size=(2, *shape))
-        h = halo(pair, window, 2)
-        _, rows, pitch = h.shape
+        h = halo(pair, window, REACH)
+        pitch = h.shape[2]
         f = h.reshape(2, -1)
-        size = (rows - 4) * pitch - 4
-        ring = slice(pitch + 1, (rows - 1) * pitch - 1)
-        cells = slice(2 * pitch + 2, 2 * pitch + 2 + size)
         # the window and its ring as whole-grid cells, wrapped on a spanned axis
         around = np.ix_(*(np.arange(w.start - 1, w.stop + 1) % n for w, n in zip(window, shape)))
         for mode, paper in ((PAPER_CODE, True), (CENTERED, False)):
-            got = gradient_arrays(f[0], pitch, ring, 0.03, mode)
+            got = gradient_arrays(f[0], pitch, 0.03, mode)
             for g, want in zip(got, R.roll_gradient(pair[0], 0.03, 0.03, paper)):
                 assert cell_view(g, pitch, pitch - 2).tobytes() == want[around].tobytes()
-        lap = laplacian9_arrays(f, pitch, cells, 0.03)
-        assert lap.shape == (2, size)
+        lap = laplacian9_arrays(f[:, pitch + 1:-pitch - 1], pitch, 0.03)
         for got, a in zip(lap, pair):
             assert cell_view(got, pitch, pitch - 4).tobytes() == \
                 R.roll_laplacian9(a, 0.03)[window].tobytes()

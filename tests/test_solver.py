@@ -343,7 +343,7 @@ class TestStepAgainstRollStep:
             cells = [(r + 1, far[0]), (r, far[1])]
             if axis == 0:
                 cells = [(i, j) for j, i in cells]
-            rows, cols = widen(st.box, (p.nx, p.ny), REACH)
+            rows, cols = widen(st.box, (p.nx, p.ny))
             inside = [rows.start <= i < rows.stop and cols.start <= j < cols.stop for i, j in cells]
             assert inside == [True, False]
             for where in ("phi", "temp", "both"):
@@ -377,7 +377,7 @@ class TestStepAgainstRollStep:
         phi = np.roll(st.phi.data, shift, axis=axis)
         st = SimState(phi=Field(phi, p.dx), temp=st.temp)
         assert st.box[axis].start == gap or n - st.box[axis].stop == gap
-        spans = widen(st.box, (p.nx, p.ny), REACH)[axis] == slice(0, n)
+        spans = widen(st.box, (p.nx, p.ny))[axis] == slice(0, n)
         assert spans == (gap == 3)
         temp = st.temp.data
         stream, twin_stream = RngStream(5), RngStream(5)
@@ -427,7 +427,7 @@ class TestStepAgainstRollStep:
         stream, twin_stream = RngStream(5), RngStream(5)
         areas = []
         for _ in range(p.total_steps):
-            rows, cols = widen(nonzero_box((st.phi.data, st.temp.data)), (p.nx, p.ny), REACH)
+            rows, cols = widen(nonzero_box((st.phi.data, st.temp.data)), (p.nx, p.ny))
             areas.append((rows.stop - rows.start) * (cols.stop - cols.start))
             st = step(st, p, rng=stream)
             phi, temp = R.roll_step(
@@ -477,7 +477,7 @@ class TestAppendixBugScalars:
                 a[corner] = np.where(rng.random((5, 5)) < 0.5, -0.0, 0.0)
             st = SimState(phi=Field(phi, p.dx), temp=Field(temp, p.dx))
             for _ in range(3):
-                assert widen(st.box, (nx, ny), REACH) != (slice(0, nx), slice(0, ny))
+                assert widen(st.box, (nx, ny)) != (slice(0, nx), slice(0, ny))
                 st = step(st, p)
                 phi, temp = R.roll_step(phi, temp, p, p.dx, p.dt, paper_divisor=paper_div,
                                         replicate_bug=True)
@@ -593,7 +593,7 @@ class TestNoGridScan:
 
         monkeypatch.setattr(solver, "nonzero_box", recording)
         monkeypatch.setattr(lattice, "nonzero_box", recording)
-        rows, cols = widen(st.box, (n, n), REACH)
+        rows, cols = widen(st.box, (n, n))
         window = (rows.stop - rows.start, cols.stop - cols.start)
         assert window[0] * window[1] < n * n / 10
         out = step(st, p, rng)
@@ -610,7 +610,7 @@ class TestCarriedBox:
     def assert_boxes_carried(self, st, p, rng):
         for _ in range(p.total_steps):
             assert st.box == R.naive_nonzero_box(st.phi.data, st.temp.data)
-            assert widen(st.box, (p.nx, p.ny), REACH) == R.naive_window(
+            assert widen(st.box, (p.nx, p.ny)) == R.naive_window(
                 st.phi.data, st.temp.data, REACH)
             st = step(st, p, rng)
         assert st.box == R.naive_nonzero_box(st.phi.data, st.temp.data)
@@ -667,7 +667,7 @@ class TestCarriedBox:
         for _ in range(4):
             st = step(st, p)
         cell = (37, 3)
-        rows, cols = widen(st.box, (p.nx, p.ny), REACH)
+        rows, cols = widen(st.box, (p.nx, p.ny))
         assert not (rows.start <= cell[0] < rows.stop and cols.start <= cell[1] < cols.stop)
         temp = st.temp.data.copy()
         temp[cell] = np.nan
@@ -739,7 +739,7 @@ class TestBlowup:
         phi, temp = st.phi.data, st.temp.data
         with pytest.raises(BlowupError) as exc_info:
             for _ in range(50):
-                rows, cols = widen(nonzero_box((st.phi.data, st.temp.data)), (p.nx, p.ny), REACH)
+                rows, cols = widen(nonzero_box((st.phi.data, st.temp.data)), (p.nx, p.ny))
                 st = step(st, p)
                 phi, temp = R.roll_step(phi, temp, p, p.dx, p.dt)
         err = exc_info.value
@@ -760,7 +760,7 @@ class TestBlowup:
         temp = st.temp.data.copy()
         temp[10, col] = np.nan
         st = SimState(phi=st.phi, temp=Field(temp, p.dx))
-        window = widen(st.box, (p.nx, p.ny), REACH)
+        window = widen(st.box, (p.nx, p.ny))
         assert window[1] == slice(0, p.ny)
         assert (window[0] == slice(0, p.nx)) == (rows == "spanned")
         with pytest.raises(BlowupError) as exc_info:
