@@ -69,22 +69,22 @@ def divisors(dx: float, mode: str) -> float:
 
 def halo(planes, window: tuple[slice, slice], k: int) -> np.ndarray:
     """Copy of `window` of each of `planes` (equal-shape 2-D arrays) with `k`
-    rings of its grid neighbours, as one array of shape (len(planes), window
-    rows + 2k, window columns + 2k).  It is built from slice copies (cheaper
-    than np.pad, and far cheaper than fancy indexing).  The rings wrap only
-    on an axis the window spans, so the whole grid is the case where they
-    wrap on both; on another axis they must lie in the grid (`widen` sees to
-    that), or it is a ValueError."""
-    def pieces(s, n):
+    rings of its periodic grid neighbours, as one array of shape
+    (len(planes), window rows + 2k, window columns + 2k): along an axis of n
+    cells and window lo:hi, the copy holds cells lo - k ... hi + k - 1 mod n.
+    It is built from slice copies, one per run of cells that does not wrap
+    (cheaper than np.pad, and far cheaper than fancy indexing)."""
+    def runs(s, n):
+        # (first cell, past its last, offset in the copy) of each run
         lo, hi, _ = s.indices(n)
-        if hi - lo == n:  # (start, stop, start in the copy): the last k, all, the first k
-            return (n - k, n, 0), (0, n, k), (0, k, n + k)
-        if lo < k or hi + k > n:
-            raise ValueError(f"a halo of {k} around cells {lo}:{hi} leaves an axis of {n}")
-        return ((lo - k, hi + k, 0),)
+        c = lo - k
+        while c < hi + k:
+            stop = min(c - c % n + n, hi + k)  # the next wrap, or the end
+            yield c % n, c % n + stop - c, c - lo + k
+            c = stop
 
     shape = planes[0].shape
-    rows, cols = (pieces(s, n) for s, n in zip(window, shape))
+    rows, cols = (list(runs(s, n)) for s, n in zip(window, shape))
     out = np.empty([len(planes)] + [len(range(*s.indices(n))) + 2 * k
                                     for s, n in zip(window, shape)])
     for plane, a in zip(out, planes):
@@ -130,16 +130,15 @@ REACH = 2
 def widen(box: Box | None, shape: tuple[int, int]) -> Box:
     """`box` widened by REACH cells on each side, within a grid of `shape`.
 
-    An axis where the widened box, with a halo of REACH more cells on each
-    side, would pass the grid's edge gets its full extent instead.  So a
-    halo wraps only on an axis its window spans, and when both axes are full
-    the window is the whole grid.  No box (an all-zero grid) gives a window
-    of 3 cells, the least a Field holds, REACH cells from the origin.
+    An axis where the widened box would leave the grid gets its full extent
+    instead, so when both axes are full the window is the whole grid.  No
+    box (an all-zero grid) gives the 3-by-3 window at the origin, the least
+    a Field holds.
     """
-    spans = ([(REACH, REACH + 3)] * 2 if box is None
+    spans = ([(0, 3)] * 2 if box is None
              else [(s.start - REACH, s.stop + REACH) for s in box])
     return tuple(
-        slice(lo, hi) if lo >= REACH and hi <= n - REACH else slice(0, n)
+        slice(lo, hi) if lo >= 0 and hi <= n else slice(0, n)
         for (lo, hi), n in zip(spans, shape)
     )
 

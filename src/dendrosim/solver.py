@@ -169,7 +169,7 @@ class SimState:
     diagnostics.measure take their windows from it instead of scanning the
     grid.  initialize records the seed's box and step the box of its
     result, found on the window it has just updated.  That saving is in the
-    growth phase only: once the window spans the grid (step 143 of the desk
+    growth phase only: once the window spans the grid (step 145 of the desk
     preset), a step costs what it did with a scan.
     A state is immutable, so its fields can never change under its box:
     assigning one raises FrozenInstanceError, and a changed copy is made
@@ -243,22 +243,22 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     state's box widened by lattice.REACH (see there for why that gives the
     bits of the whole-grid update).  Every cell outside it is +0.0 in the
     result, so the result's box is found on the window alone.  Where the
-    window's halo would pass an edge the window spans that axis
+    widened box would leave the grid the window spans that axis
     (lattice.widen), and the whole grid is the widest window.
 
     Pass 1 copies the window of phi and T once, together, with REACH = 2
-    rings of their grid neighbours (lattice.halo): a (2, R, C) buffer, C the
-    window's columns + 4.  Every stencil reads contiguous slices of the
-    buffer's flat view, in valid mode, so its result is its input less one
-    ring (see lattice).  grad(phi), the angle, eps, eps' and the flux
+    rings of their periodic neighbours (lattice.halo): a (2, R, C) buffer, C
+    the window's columns + 2 REACH.  Every stencil reads contiguous slices of
+    the buffer's flat view, in valid mode, so its result is its input less
+    one ring (see lattice).  grad(phi), the angle, eps, eps' and the flux
     product eps*eps'*grad(phi) cover the window plus one ring; the
     Laplacians of phi and T (one call on the pair), grad(eps^2), the flux
     differences and the noise cover the window.  Every array keeps the rows
     at pitch C, so it also holds the positions between the ends of its rows.
     Those are no cells: their stencils wrap from one row's end to the next
     row's start, but read only finite halo values (the noise there is 0), no
-    cell ever reads them, and they are dropped when the result
-    is written.  Pass 2 is purely elementwise on those arrays:
+    cell ever reads them, and they are dropped when the result is written.
+    Pass 2 is purely elementwise on those arrays:
 
         term1 =  d/dy [eps eps' dphi/dx]
         term2 = -d/dx [eps eps' dphi/dy]
@@ -304,11 +304,12 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
 
     if p.replicate_appendix_bug:
         # stale scalars from the grid's last cell, whatever the window: its
-        # eps^2 gradient reads phi at most 2 cells away, in this 5x5 block
-        block = state.phi.data[np.ix_(np.arange(-3, 2) % p.nx, np.arange(-3, 2) % p.ny)]
-        bx, by = gradient_arrays(block.ravel(), 5, dx, mode)
+        # eps^2 gradient reads phi at most REACH cells away, in its halo
+        side = 2 * REACH + 1
+        block = halo((state.phi.data,), np.s_[-1:, -1:], REACH).reshape(-1)
+        bx, by = gradient_arrays(block, side, dx, mode)
         eps_b, _ = epsilon_of_theta(interface_angle(bx, by), p)
-        ge2x, ge2y = (g[0] for g in gradient_arrays(eps_b * eps_b, 5, dx, mode))
+        ge2x, ge2y = (g[0] for g in gradient_arrays(eps_b * eps_b, side, dx, mode))
     else:
         ge2x, ge2y = gradient_arrays(eps2, pitch, dx, mode)
 
@@ -320,9 +321,9 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
         # depend on the window; its cells laid out as the halo's rows, with
         # zeros between them
         drawn = rng.uniform_sym(shape, window[0])
-        band = np.zeros((rows - 4, pitch))
-        band[:, 2:-2] = drawn[:, window[1]]
-        chi = band.reshape(-1)[2:-2]
+        band = np.zeros((rows - 2 * REACH, pitch))
+        band[:, REACH:-REACH] = drawn[:, window[1]]
+        chi = band.reshape(-1)[REACH:-REACH]
         del drawn, band
 
     div = divisors(dx, mode)
@@ -341,7 +342,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
         del chi
     dphi = rhs * dt_over_tau
 
-    cols = pitch - 4
+    cols = pitch - 2 * REACH
     grid = np.zeros((2, *shape))
     new = grid[(slice(None), *window)]
     np.add(cell_view(phi, pitch, cols), cell_view(dphi, pitch, cols), out=new[0])

@@ -122,17 +122,16 @@ def naive_nonzero_box(a, b):
 
 def naive_window(a, b, reach):
     """naive_nonzero_box widened by reach cells on each side; an axis whose
-    widened span, with reach more halo cells on each side, would leave the
-    grid takes the whole axis, and no box gives the 3-cell span that starts
-    reach cells from the origin on each axis."""
+    widened span would leave the grid takes the whole axis, and no box gives
+    the 3-cell span at the origin on each axis."""
     box = naive_nonzero_box(a, b)
     window = []
     for axis, n in enumerate(a.shape):
         if box is None:
-            lo, hi = reach, reach + 3
+            lo, hi = 0, 3
         else:
             lo, hi = box[axis].start - reach, box[axis].stop + reach
-        window.append(slice(0, n) if lo - reach < 0 or hi + reach > n else slice(lo, hi))
+        window.append(slice(0, n) if lo < 0 or hi > n else slice(lo, hi))
     return tuple(window)
 
 

@@ -125,11 +125,21 @@ class TestHalo:
         want = np.pad(a, ((0, 0), (k, k)), mode="wrap")[3 - k:6 + k]
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("window", [np.s_[1:9, :], np.s_[:, 2:12], np.s_[0:3, 4:6],
-                                        np.s_[4:6, 11:13]])
-    def test_rings_past_the_edge_of_an_unspanned_axis_are_an_error(self, window):
-        with pytest.raises(ValueError, match="halo of 2"):
-            halo((np.zeros((10, 13)),), window, 2)
+    @pytest.mark.parametrize("shape, window", [
+        *(((10, 13), w) for w in (np.s_[1:9, :], np.s_[:, 2:12], np.s_[0:3, 4:6],
+                                  np.s_[4:6, 11:13])),
+        # the appendix-bug block: the halo of the grid's last cell, and of
+        # the other corners, on the least grid and a larger one
+        *((shape, w) for shape in ((3, 3), (20, 30))
+          for w in (np.s_[:1, :1], np.s_[:1, -1:], np.s_[-1:, :1], np.s_[-1:, -1:])),
+    ])
+    def test_rings_past_the_edge_of_an_unspanned_axis_are_the_periodic_neighbours(
+            self, shape, window):
+        a = np.random.default_rng(36).normal(size=shape)
+        (r0, r1, _), (c0, c1, _) = (s.indices(n) for s, n in zip(window, shape))
+        want = np.pad(a, 2, mode="wrap")[r0:r1 + 4, c0:c1 + 4]
+        got = halo((a,), window, 2)[0]
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_signed_zeros_and_nan_are_copied_bit_for_bit(self):
         a = np.where(np.random.default_rng(34).random((6, 7)) < 0.5, -0.0, 0.0)
@@ -160,17 +170,13 @@ class TestSupportWindow:
     def widened(self, a, b):
         return widen(nonzero_box((a, b)), self.SHAPE)
 
-    def test_all_zero_pair_is_three_by_three_reach_from_the_origin(self):
-        assert self.window() == (slice(2, 5), slice(2, 5))
+    def test_all_zero_pair_is_three_by_three_at_the_origin(self):
+        assert self.window() == (slice(0, 3), slice(0, 3))
 
-    @pytest.mark.parametrize("shape, expected", [
-        ((3, 3), (slice(0, 3), slice(0, 3))),
-        ((6, 7), (slice(0, 6), slice(2, 5))),
-        ((7, 6), (slice(2, 5), slice(0, 6))),
-    ])
-    def test_all_zero_pair_spans_an_axis_too_short_for_its_halo(self, shape, expected):
+    @pytest.mark.parametrize("shape", [(3, 3), (6, 7), (7, 6)])
+    def test_all_zero_pair_is_three_by_three_at_the_origin_of_any_grid(self, shape):
         zeros = np.zeros(shape)
-        assert widen(nonzero_box((zeros, zeros)), shape) == expected
+        assert widen(nonzero_box((zeros, zeros)), shape) == (slice(0, 3), slice(0, 3))
 
     def test_centred_blob_widened_by_reach(self):
         assert self.window([(9, 14), (10, 16)]) == (slice(7, 13), slice(12, 19))
@@ -181,10 +187,10 @@ class TestSupportWindow:
     @pytest.mark.parametrize(
         "cell, expected",
         [
-            ((3, 14), (slice(0, 20), slice(12, 17))),
-            ((16, 14), (slice(0, 20), slice(12, 17))),
-            ((9, 3), (slice(7, 12), slice(0, 30))),
-            ((9, 26), (slice(7, 12), slice(0, 30))),
+            ((1, 14), (slice(0, 20), slice(12, 17))),
+            ((18, 14), (slice(0, 20), slice(12, 17))),
+            ((9, 1), (slice(7, 12), slice(0, 30))),
+            ((9, 28), (slice(7, 12), slice(0, 30))),
         ],
         ids=["top", "bottom", "left", "right"],
     )
@@ -193,16 +199,17 @@ class TestSupportWindow:
         assert self.window([], [cell]) == expected
 
     def test_blob_just_outside_the_frame_keeps_a_window(self):
-        # 4 cells from an edge: the window's halo of phi ends on the edge
-        assert self.window([(4, 4), (15, 25)]) == (slice(2, 18), slice(2, 28))
-        assert self.window([(4, 4)]) == (slice(2, 7), slice(2, 7))
-        assert self.window([(15, 25)]) == (slice(13, 18), slice(23, 28))
+        # REACH cells from an edge: the window ends on the edge, and its
+        # halo wraps round it
+        assert self.window([(2, 2), (17, 27)]) == (slice(0, 20), slice(0, 30))
+        assert self.window([(2, 2)]) == (slice(0, 5), slice(0, 5))
+        assert self.window([(17, 27)]) == (slice(15, 20), slice(25, 30))
 
     def test_blob_straddling_the_wrap_takes_the_whole_grid(self):
         assert self.window([(0, 0), (19, 29), (0, 29), (19, 0)]) == (slice(0, 20), slice(0, 30))
 
     def test_negative_zero_counts_as_zero(self):
-        assert self.window(fill=-0.0) == (slice(2, 5), slice(2, 5))
+        assert self.window(fill=-0.0) == (slice(0, 3), slice(0, 3))
         assert self.window([(9, 14)], fill=-0.0) == (slice(7, 12), slice(12, 17))
 
     def test_nan_counts_as_nonzero(self):
