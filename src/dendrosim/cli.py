@@ -117,13 +117,19 @@ def _execute_run(params: SimParams, outdir: Path):
     return 0, last
 
 
-def cmd_run(args) -> int:
-    params = params_from_dict(_collect_overrides(args), allow_unstable=args.force)
+def _warn_if_unstable(params: SimParams, label: str = "") -> None:
+    """One stderr line when params pass only under --force; `label` (a
+    sweep's key=token) names the run."""
     ok, dt_thermal, dt_phase = stability_check(params)
     if not ok:
-        print(f"warning: dt = {params.dt!r} exceeds the stability bound "
+        print(f"warning: {label}dt = {params.dt!r} exceeds the stability bound "
               f"(thermal {dt_thermal!r}, phase {dt_phase!r}); proceeding under --force",
               file=sys.stderr)
+
+
+def cmd_run(args) -> int:
+    params = params_from_dict(_collect_overrides(args), allow_unstable=args.force)
+    _warn_if_unstable(params)
     code, last = _execute_run(params, Path(args.out))
     if code == 0 and last is not None:
         print(f"completed {params.total_steps} steps (t = {last.time!r}), "
@@ -147,6 +153,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"repeated --values token {tok!r}")
         plan[tok] = params_from_dict({**base, key: parse_value(key, tok)},
                                      allow_unstable=args.force)
+    for tok, params in plan.items():
+        _warn_if_unstable(params, f"{key}={tok}: ")
     outroot = Path(args.out)
     outroot.mkdir(parents=True, exist_ok=True)
 

@@ -100,17 +100,15 @@ def _radius_profile(phi: Field) -> np.ndarray:
 
     profile = np.zeros(360)
     radius = np.hypot(u * dx, v * dx)
-    # folded cells have u >= 1, so all four corners stay in the open right
-    # half-plane and corner angles span less than a half turn
+    # folded cells have u >= 1 and v >= 0, so all four corners stay in the
+    # open right half-plane, where the angle grows with y and, above the
+    # axis, falls as x grows: the lowest corner is (xp, ym), or (xm, ym) on
+    # the axis (v = 0, ym < 0), and the highest is always (xm, yp)
     deg = 180.0 / np.pi
     xm, xp = (u - 0.5) * dx, (u + 0.5) * dx
     ym, yp = (v - 0.5) * dx, (v + 0.5) * dx
-    c1 = np.arctan2(ym, xm) * deg
-    c2 = np.arctan2(ym, xp) * deg
-    c3 = np.arctan2(yp, xm) * deg
-    c4 = np.arctan2(yp, xp) * deg
-    lo = np.floor(np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))).astype(np.int64)
-    hi = np.floor(np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))).astype(np.int64)
+    lo = np.floor(np.arctan2(ym, np.where(v > 0, xp, xm)) * deg).astype(np.int64)
+    hi = np.floor(np.arctan2(yp, xm) * deg).astype(np.int64)
     # one (cell, sector) pair per sector a footprint covers: the cell's n
     # pairs are consecutive, and the pair's offset within them is its index
     # less the index of the cell's first pair

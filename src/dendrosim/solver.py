@@ -252,13 +252,16 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     the buffer's flat view, in valid mode, so its result is its input less
     one ring (see lattice).  grad(phi), the angle, eps, eps' and the flux
     product eps*eps'*grad(phi) cover the window plus one ring; the
-    Laplacians of phi and T (one call on the pair), grad(eps^2), the flux
-    differences and the noise cover the window.  Every array keeps the rows
-    at pitch C, so it also holds the positions between the ends of its rows.
-    Those are no cells: their stencils wrap from one row's end to the next
-    row's start, but read only finite halo values (the noise there is 0), no
-    cell ever reads them, and they are dropped when the result is written.
-    Pass 2 is purely elementwise on those arrays:
+    Laplacians of phi and T (one call on the pair), grad(eps^2) and the flux
+    differences cover the window.  These arrays keep the rows at pitch C, so
+    they also hold the positions between the ends of their rows.  Those are
+    no cells: their stencils wrap from one row's end to the next row's
+    start, but read only finite halo values, and no cell reads them.  The
+    padded rows end at the last sums of stencil results, the Allen-Cahn sum
+    and T + dt lap(T): they and phi are cut to the window's cells
+    (cell_view), and the noise, the window of one whole-grid draw, and the
+    update run on cells.
+    Pass 2 is purely elementwise:
 
         term1 =  d/dy [eps eps' dphi/dx]
         term2 = -d/dx [eps eps' dphi/dy]
@@ -286,7 +289,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     shape = state.phi.data.shape
     window = widen(state.box, shape)
     h = halo((state.phi.data, state.temp.data), window, REACH)
-    _, rows, pitch = h.shape
+    pitch = h.shape[2]
     f = h.reshape(2, -1)
     inset = slice(pitch + 1, -pitch - 1)  # a flat array less one ring
     ring = f[:, inset]  # the window and one ring
@@ -313,19 +316,6 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     else:
         ge2x, ge2y = gradient_arrays(eps2, pitch, dx, mode)
 
-    chi = None
-    if p.noise_amp > 0.0:
-        if rng is None:
-            raise ValueError("noise_amp > 0 requires an RngStream")
-        # the window's rows of a whole-grid draw, so the stream does not
-        # depend on the window; its cells laid out as the halo's rows, with
-        # zeros between them
-        drawn = rng.uniform_sym(shape, window[0])
-        band = np.zeros((rows - 2 * REACH, pitch))
-        band[:, REACH:-REACH] = drawn[:, window[1]]
-        chi = band.reshape(-1)[REACH:-REACH]
-        del drawn, band
-
     div = divisors(dx, mode)
     dt_over_tau = p.dt / p.tau
     term1 = (qx[pitch + 2:-pitch] - qx[pitch:-pitch - 2]) / div
@@ -337,18 +327,22 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     term3 = ge2x * gx[inset] + ge2y * gy[inset]
     m = m_of_temperature(temp, p)
     rhs = (term1 + term2) + term3 + (eps2[inset] * lap_phi + reaction_term(phi, m))
-    if chi is not None:
+    # from here on, the window's cells only
+    cols = pitch - 2 * REACH
+    rhs, phi = (cell_view(a, pitch, cols) for a in (rhs, phi))
+    if p.noise_amp > 0.0:
+        if rng is None:
+            raise ValueError("noise_amp > 0 requires an RngStream")
+        # the window of a whole-grid draw, so the stream does not depend on it
+        chi = rng.uniform_sym(shape, window[0])[:, window[1]]
         rhs = rhs + noise_term(phi, p.noise_amp, chi)
-        del chi
     dphi = rhs * dt_over_tau
 
-    cols = pitch - 2 * REACH
     grid = np.zeros((2, *shape))
     new = grid[(slice(None), *window)]
-    np.add(cell_view(phi, pitch, cols), cell_view(dphi, pitch, cols), out=new[0])
+    np.add(phi, dphi, out=new[0])
     heated = temp + p.dt * lap_t
-    np.add(cell_view(heated, pitch, cols), cell_view(p.latent_heat * dphi, pitch, cols),
-           out=new[1])
+    np.add(cell_view(heated, pitch, cols), p.latent_heat * dphi, out=new[1])
 
     new_step = state.step + 1
     if not np.isfinite(new).all():

@@ -284,6 +284,16 @@ class TestSweep:
         assert read_manifest(sub / "manifest.json")["params"] == \
             read_manifest(run_out / "manifest.json")["params"]
 
+    def test_force_warns_once_per_unstable_value(self, tmp_path, capsys):
+        args = ["sweep", *BASE, "--force", "--param", "dt"]
+        assert main([*args, "--values", "3.4e-4,3.45e-4", "--out", str(tmp_path / "u")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 2
+        assert "dt=3.4e-4: " in warnings[0] and "dt=3.45e-4: " in warnings[1]
+        assert main([*args, "--values", "1e-4,2e-4", "--out", str(tmp_path / "s")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_parallel_jobs_reproduce_sequential_summary(self, tmp_path):
         seq, par = tmp_path / "seq", tmp_path / "par"
         args = ["sweep", *BASE, "--param", "delta", "--values", "0.01,0.02,0.03"]

@@ -578,6 +578,55 @@ class TestHeatModeDecay:
         assert abs(rates[2] - k2) > 50 * tol
 
 
+class TestPlanarFront:
+    """The PDE the stencil solves, on the phase equation: with delta = 0, no
+    latent heat (so T stays 0) and no noise, a planar front moves at
+    c = sqrt(2) eps_bar m / tau with m = m(0) in the continuum, and at
+    sqrt(4/3) c on the nine-point stencil, which is (4/3) of the Laplacian.
+    At delta = 0 both divisor modes give the same speeds, so paper_code
+    stands for both."""
+
+    @staticmethod
+    def front_speed(nx):
+        # a slab |x - 3| < 0.6 on L = 6, so its fronts stay apart to t = 0.04
+        dx = 6.0 / nx
+        p = SimParams(nx=nx, ny=4, dx=dx, dt=1e-4 * (200 / nx) ** 2, delta=0.0,
+                      latent_heat=0.0, seed_radius_sq=0.0, divisor_mode=PAPER_CODE)
+        slab = np.where(np.abs(np.arange(nx) * dx - 3.0) < 0.6, 1.0, 0.0)
+        st = SimState(phi=Field(np.outer(slab, np.ones(4)), dx), temp=Field.zeros(nx, 4, dx))
+        first, last = round(0.01 / p.dt), round(0.04 / p.dt)
+        times, fronts = [], []
+        for k in range(1, last + 1):
+            st = step(st, p)
+            if k >= first:
+                # the right front's 0.5 crossing, linear between two cells
+                row = st.phi.data[:, 0]
+                i = nx // 2 + int(np.flatnonzero(row[nx // 2:] >= 0.5)[-1])
+                times.append(k * p.dt)
+                fronts.append((i + (row[i] - 0.5) / (row[i] - row[i + 1])) * dx)
+        assert not st.temp.data.any()
+        return float(np.polyfit(times, fronts, 1)[0])
+
+    def test_speed_converges_to_root_four_thirds_c(self):
+        p = SimParams()
+        c = math.sqrt(2.0) * p.eps_bar * float(m_of_temperature(0.0, p)) / p.tau
+        limit = math.sqrt(4.0 / 3.0) * c
+        speeds = [self.front_speed(nx) for nx in (200, 400, 800)]
+        errors = [limit - v for v in speeds]
+        # second order: each halving of dx (and quartering of dt) cuts the
+        # error by 4 (measured 3.91 and 4.01; first order would give 2) ...
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+        # ... so the Richardson value removes the dx^2 term.  Its correction
+        # to the finest speed, 0.107 of 22.83, is that speed's error; the
+        # Richardson value, 22.941, lies 0.003 corrections from sqrt(4/3) c
+        # (asserted under 0.1) and 28.8 from c, 3.07 away (asserted over 10)
+        correction = (speeds[2] - speeds[1]) / 3.0
+        richardson = speeds[2] + correction
+        assert abs(richardson - limit) < 0.1 * correction
+        assert abs(richardson - c) > 10.0 * correction
+
+
 class TestNoGridScan:
     def test_small_window_step_and_sample_scan_only_the_window(self, monkeypatch):
         # 12 steps into a noisy 300x300 run: the step scans its window-sized
