@@ -130,6 +130,8 @@ class SimParams:
             raise ValueError(f"nx/ny must be >= 3, got {self.nx}x{self.ny}")
         if self.dx <= 0.0:
             raise ValueError(f"dx must be > 0, got {self.dx}")
+        if 3.0 * self.dx * self.dx == 0.0:  # stability_check divides by it
+            raise ValueError(f"dx={self.dx} is too small: 3 dx^2 underflows to 0")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.total_steps < 0:
@@ -166,11 +168,13 @@ class SimState:
     """The phi and T fields after `step` steps, at time step * dt.
 
     A state carries `box`, the box of its nonzero cells, and step and
-    diagnostics.measure take their windows from it instead of scanning the
-    grid.  initialize records the seed's box and step the box of its
-    result, found on the window it has just updated.  That saving is in the
-    growth phase only: once the window spans the grid (step 145 of the desk
-    preset), a step costs what it did with a scan.
+    diagnostics.measure take their windows from it.  A state scans its own
+    fields for it, once, on first use; the one exception is the state step
+    returns, which carries the box step found on the window it has just
+    written.  So a run scans the grid once, for its seed, and each step only
+    its window.  That saving is in the growth phase only: once the window
+    spans the grid (step 145 of the desk preset), a step costs what it did
+    with a scan.
     A state is immutable, so its fields can never change under its box:
     assigning one raises FrozenInstanceError, and a changed copy is made
     with dataclasses.replace.  Building a state makes its phi and T arrays
@@ -188,18 +192,9 @@ class SimState:
 
     @functools.cached_property
     def box(self):
-        """lattice.nonzero_box of phi and T.  step and initialize hand it to
-        the states they make; any other state (built by hand, or by
-        dataclasses.replace) scans its fields on first use."""
+        """lattice.nonzero_box of phi and T, scanned on first use; step
+        hands it to the state it returns."""
         return nonzero_box((self.phi.data, self.temp.data))
-
-
-def _carrying(box, **fields) -> SimState:
-    """SimState(**fields) whose box is `box`, found without a scan."""
-    state = SimState(**fields)
-    # box is a cached_property: this stores the value its first read would compute
-    object.__setattr__(state, "box", box)
-    return state
 
 
 def stability_check(p: SimParams) -> tuple[bool, float, float]:
@@ -225,13 +220,7 @@ def initialize(p: SimParams) -> SimState:
     di = np.arange(p.nx)[:, None] - p.nx // 2
     dj = np.arange(p.ny)[None, :] - p.ny // 2
     phi = np.where(di * di + dj * dj < p.seed_radius_sq, 1.0, 0.0)
-    # the disk reaches a row (column) iff it holds that line's centre cell
-    rows = np.flatnonzero(phi[:, p.ny // 2])
-    cols = np.flatnonzero(phi[p.nx // 2])
-    box = None
-    if rows.size:
-        box = slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
-    return _carrying(box, phi=Field(phi, p.dx), temp=Field.zeros(p.nx, p.ny, p.dx))
+    return SimState(phi=Field(phi, p.dx), temp=Field.zeros(p.nx, p.ny, p.dx))
 
 
 def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimState:
@@ -272,7 +261,9 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
 
     The last sums of phi' and T' are written into the window of one
     (2, nx, ny) grid of zeros, whose planes are the new state's fields; that
-    window alone is checked for finite values and scanned for the new box.
+    window alone is checked for finite values and scanned for the new box,
+    which the new state carries.  A BlowupError names the first non-finite
+    cell of the grid, phi before T.
 
     With replicate_appendix_bug the eps^2 gradient degenerates to the two
     scalars left over from the grid's last raster cell, reproducing the
@@ -346,16 +337,20 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
 
     new_step = state.step + 1
     if not np.isfinite(new).all():
-        for name, plane in zip(("phi", "temp"), new):
+        # every cell outside the window is +0.0, so the grid's first
+        # non-finite cell in raster order is the window's
+        for name, plane in zip(("phi", "temp"), grid):
             bad = np.argwhere(~np.isfinite(plane))
             if bad.size:
-                cell = (window[0].start + int(bad[0, 0]), window[1].start + int(bad[0, 1]))
-                raise BlowupError(new_step, name, cell)
+                raise BlowupError(new_step, name, (int(bad[0, 0]), int(bad[0, 1])))
 
     box = nonzero_box(new)
     if box is not None:
         box = tuple(slice(w.start + b.start, w.start + b.stop) for w, b in zip(window, box))
-    return _carrying(box, phi=Field(grid[0], dx), temp=Field(grid[1], dx), step=new_step)
+    result = SimState(phi=Field(grid[0], dx), temp=Field(grid[1], dx), step=new_step)
+    # box is a cached_property: this stores the value its first read would compute
+    object.__setattr__(result, "box", box)
+    return result
 
 
 def run(p: SimParams, on_snapshot=None, on_diagnostics=None):

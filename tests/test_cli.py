@@ -465,6 +465,19 @@ class TestTopLevel:
         key = setting.partition("=")[0]
         assert err.startswith(f"config error: {key} must be finite")
 
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    @pytest.mark.parametrize("command", ["run", "sweep", "check"])
+    def test_dx_whose_square_underflows_is_config_error(self, command, force, tmp_path, capsys):
+        # 3 dx^2 is 0.0 at dx = 1e-300, and the stability bounds divide by it
+        extra = {
+            "run": ["--out", str(tmp_path / "o")],
+            "sweep": ["--param", "latent_heat", "--values", "1.0", "--out", str(tmp_path / "s")],
+            "check": [],
+        }[command]
+        assert main([command, *BASE, *force, "--set", "dx=1e-300", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dx=1e-300") and len(err.splitlines()) == 1
+
 
 class TestReadme:
     def test_config_key_block_lists_the_keys_in_order(self):

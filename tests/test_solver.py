@@ -20,7 +20,7 @@ from dendrosim.lattice import (
     nonzero_box,
     widen,
 )
-from dendrosim.physics import RngStream, m_of_temperature
+from dendrosim.physics import RngStream, m_of_temperature, reaction_term
 from dendrosim.solver import (
     BlowupError,
     SimParams,
@@ -121,6 +121,7 @@ class TestSimParamsValidation:
             ({"nx": 2}, "nx/ny"),
             ({"ny": 1}, "nx/ny"),
             ({"dx": 0.0}, "dx"),
+            ({"dx": 1e-300}, "dx"),  # 3 dx^2 underflows, and the bounds divide by it
             ({"dt": 0.0}, "dt"),
             ({"total_steps": -1}, "total_steps"),
             ({"seed_radius_sq": -1.0}, "seed_radius_sq"),
@@ -627,6 +628,67 @@ class TestPlanarFront:
         assert abs(richardson - c) > 10.0 * correction
 
 
+class TestManufacturedPhaseOperator:
+    """The PDE the stencil solves, on the anisotropic phase operator: for a
+    radial profile phi = g(r) = (1 - tanh((r - R) / w)) / 2, the operator
+    is a L + b F with L = eps^2 (g'' + g'/r) from eps^2 lap(phi) and
+    F = (eps'^2 + eps eps'') g'/r from the flux terms; grad(eps^2) is
+    tangential, so grad(eps^2) . grad(phi) = 0.  In the continuum a = b = 1.
+    The nine-point Laplacian gives a = 4/3 in both modes; paper_code's flux
+    terms are each a difference of doubled differences over dx, so b = 4,
+    and centered's give b = 1."""
+
+    @staticmethod
+    def fit(n, mode, limit_b):
+        # one step of 1e-9 at T = t_eq (so m = 0) with no latent heat or
+        # noise: (phi' - phi) tau / dt less the reaction is the operator;
+        # (a, b) is its least-squares fit on the band |r - R| < 1.5 w, and
+        # err its largest distance from the limit, over the largest |L|
+        R, w, dx = 0.8, 0.06, 3.0 / n
+        p = SimParams(nx=n, ny=n, dx=dx, dt=1e-9, delta=0.05, theta0=0.3, latent_heat=0.0,
+                      seed_radius_sq=0.0, divisor_mode=mode)
+        x = (np.arange(n) + 0.5) * dx - 1.5
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        r = np.hypot(X, Y)
+        phi = 0.5 * (1.0 - np.tanh((r - R) / w))
+        st = SimState(phi=Field(phi, dx), temp=Field(np.full((n, n), p.t_eq), dx))
+        op = (step(st, p).phi.data - phi) * (p.tau / p.dt) - reaction_term(phi, 0.0)
+        band = np.abs(r - R) < 1.5 * w
+        r, op = r[band], op[band]
+        t = np.tanh((r - R) / w)
+        g1 = -(1.0 - t * t) / (2.0 * w)
+        g2 = (1.0 - t * t) * t / (w * w)
+        # theta, the angle of grad(phi), points inward: the polar angle + pi
+        u = p.j_mode * (np.arctan2(Y[band], X[band]) + np.pi - p.theta0)
+        eps = p.eps_bar * (1.0 + p.delta * np.cos(u))
+        eps1 = -p.eps_bar * p.delta * p.j_mode * np.sin(u)
+        eps2 = -p.eps_bar * p.delta * p.j_mode ** 2 * np.cos(u)
+        L = eps * eps * (g2 + g1 / r)
+        F = (eps1 * eps1 + eps * eps2) * g1 / r
+        (a, b), *_ = np.linalg.lstsq(np.stack([L, F], axis=1), op, rcond=None)
+        err = np.max(np.abs(op - (4.0 / 3.0 * L + limit_b * F))) / np.max(np.abs(L))
+        return float(a), float(b), float(err)
+
+    @pytest.mark.parametrize("mode, limit_b", [(PAPER_CODE, 4.0), (CENTERED, 1.0)])
+    def test_weights_converge_to_four_thirds_and_the_flux_factor(self, mode, limit_b):
+        fits = [self.fit(n, mode, limit_b) for n in (100, 200, 400, 800)]
+        a, b, err = (np.array(v) for v in zip(*fits))
+        # second order: each halving of dx cuts the distance of a, of b and
+        # of the operator from their limits by 4 (measured 3.60 to 3.99 in
+        # both modes; first order would give 2) ...
+        for dist in (np.abs(a - 4.0 / 3.0), np.abs(b - limit_b), err):
+            ratios = dist[:-1] / dist[1:]
+            assert np.all((3.3 < ratios) & (ratios < 4.5)), ratios
+        # ... so the finest fit is within its last change of the limit (n = 800
+        # reads a = 1.3316 and 1.3318, b = 3.9965 and 0.9992), while the
+        # continuum weight 1 is far from a, and under paper_code from b
+        tol_a, tol_b = abs(a[3] - a[2]), abs(b[3] - b[2])
+        assert abs(a[3] - 4.0 / 3.0) < tol_a and abs(b[3] - limit_b) < tol_b
+        assert abs(a[3] - 1.0) > 50 * tol_a
+        if mode == PAPER_CODE:
+            assert abs(b[3] - 1.0) > 50 * tol_b
+
+
 class TestNoGridScan:
     def test_small_window_step_and_sample_scan_only_the_window(self, monkeypatch):
         # 12 steps into a noisy 300x300 run: the step scans its window-sized
@@ -652,6 +714,32 @@ class TestNoGridScan:
         shapes.clear()
         measure(out, p)
         assert shapes == []
+
+    def test_a_run_scans_the_whole_grid_once(self, monkeypatch):
+        # the desk-noisy bench config: the seed state scans its fields for
+        # the step-0 sample, and every step then scans only its window
+        n, seed = 300, 1
+        p = SimParams(nx=n, ny=n, total_steps=25, noise_amp=0.01, rng_seed=seed,
+                      snapshot_every=25, diagnostics_every=25)
+        st, rng = initialize(p), RngStream(seed)
+        windows = []
+        for _ in range(p.total_steps):
+            rows, cols = widen(st.box, (n, n))
+            windows.append((2, rows.stop - rows.start, cols.stop - cols.start))
+            st = step(st, p, rng)
+        assert max(w[1] * w[2] for w in windows) < n * n / 10
+        shapes = []
+
+        def recording(planes):
+            shapes.append(np.shape(planes))
+            return nonzero_box(planes)
+
+        monkeypatch.setattr(solver, "nonzero_box", recording)
+        monkeypatch.setattr(lattice, "nonzero_box", recording)
+        final, records = run(p)
+        assert [r.step for r in records] == [0, 25]
+        assert shapes == [(2, n, n)] + windows
+        assert final.box == st.box
 
 
 class TestCarriedBox:
