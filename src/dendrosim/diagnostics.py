@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import CENTERED, Field, cell_view, gradient_arrays, halo, lattice_sum, widen
+from .lattice import (CENTERED, PAPER_CODE, Field, cell_view, gradient_arrays, halo, inset,
+                      lattice_sum, widen)
 from .physics import (
     anisotropy_phase,
     double_well,
@@ -151,15 +152,24 @@ def free_energy(phi: Field, m_field: Field, p) -> float:
         raise ValueError("phi and m fields must have identical extents")
     pitch = ny + 2
     ring = halo((phi.data,), np.s_[:, :], 1).reshape(-1)
-    gx, gy = gradient_arrays(ring, pitch, phi.dx, CENTERED)
-    eps = epsilon_of_phase(anisotropy_phase(interface_angle(gx, gy), p), p)
+    return _energy_sum(phi, m_field, gradient_arrays(ring, pitch, phi.dx, CENTERED), pitch, p)
+
+
+def _energy_sum(phi: Field, m_field: Field, grad, pitch: int, p, eps=None) -> float:
+    """free_energy's sum on the cells of phi, from grad = (gx, gy), the
+    centred gradient of phi laid out at `pitch` from cell (0, 0), and eps at
+    the same positions, which is computed from grad when not given."""
+    gx, gy = grad
+    del grad  # free_energy names no tuple, so its arrays go with gx and gy
+    if eps is None:
+        eps = epsilon_of_phase(anisotropy_phase(interface_angle(gx, gy), p), p)
     bend = 0.5 * eps * eps * (gx * gx + gy * gy)
     del gx, gy, eps
-    density = double_well(phi.data, m_field.data) + cell_view(bend, pitch, ny)
+    density = double_well(phi.data, m_field.data) + cell_view(bend, pitch, phi.ny)
     return lattice_sum(Field(density, phi.dx))
 
 
-def measure(state, p) -> DiagnosticsRecord:
+def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
     """All per-sample scalars for one state of a run with SimParams p.
 
     The m field and the sums of conservation_sum and free_energy are taken
@@ -171,12 +181,27 @@ def measure(state, p) -> DiagnosticsRecord:
     grid.  The exception is a cell within lattice_sum's overflow margin,
     which depends on the cell count: there both sums fall back to numpy's
     and may differ.
+
+    `stencils` is the state's solver.stencil_pass, which run computes once
+    for a state it samples and then steps.  The free energy then takes eps
+    and grad phi on the window from it, not from a halo and stencils of its
+    own; under paper_code that gradient is twice the centred one, and
+    halving it is exact (a subnormal component squares to 0 either way), as
+    is the doubling of both arguments of arctan2.  The record is the same.
     """
     phi, temp = state.phi, state.temp
     window = widen(state.box, phi.data.shape)
     cut = replace(state, phi=Field(phi.data[window], phi.dx),
                   temp=Field(temp.data[window], temp.dx))
     m_field = Field(m_of_temperature(cut.temp.data, p), temp.dx)
+    if stencils is None:
+        energy = free_energy(cut.phi, m_field, p)
+    else:
+        inner = inset(stencils.pitch)
+        grad = (stencils.gx[inner], stencils.gy[inner])
+        if p.divisor_mode == PAPER_CODE:
+            grad = tuple(0.5 * g for g in grad)
+        energy = _energy_sum(cut.phi, m_field, grad, stencils.pitch, p, stencils.eps[inner])
     return DiagnosticsRecord(
         step=state.step,
         time=state.step * p.dt,
@@ -186,6 +211,6 @@ def measure(state, p) -> DiagnosticsRecord:
         tip_py=tip_extent(phi, "+y"),
         tip_my=tip_extent(phi, "-y"),
         conservation_sum=conservation_sum(cut, p.latent_heat),
-        free_energy=free_energy(cut.phi, m_field, p),
+        free_energy=energy,
         arm_count=arm_count(phi),
     )

@@ -143,6 +143,12 @@ def widen(box: Box | None, shape: tuple[int, int]) -> Box:
     )
 
 
+def inset(pitch: int) -> slice:
+    """Slice of a flat array at `pitch` that drops its outer ring: the
+    positions of `f` that a stencil's result on `f` holds."""
+    return slice(pitch + 1, -pitch - 1)
+
+
 def cell_view(a: np.ndarray, pitch: int, cols: int) -> np.ndarray:
     """The cells of `a`, a 1-D span of a padded-row array that starts at a
     cell, as a (rows, cols) view: cell (i, j) is a[i * pitch + j]."""
@@ -196,21 +202,26 @@ def lattice_sum(f: Field) -> float:
     where sigma itself would overflow; only there is the cell sum not
     correctly rounded.
     """
-    r = f.data.ravel()
-    top = float(np.max(np.abs(r)))
+    cells = f.data.ravel()
+    r = cells
+    top = float(max(r.max(), -r.min()))  # max |r|, NaN if r holds one
     scale = (r.size + 1).bit_length()
     if not math.isfinite(top) or math.frexp(top)[1] + scale > 1023:
         return float(np.sum(r)) * f.dx * f.dx
     parts = []
+    q = np.empty_like(r)
     while top:
         sigma = math.ldexp(1.0, scale + math.frexp(top)[1])
         total = math.fsum(parts)
         # rounding is monotone and |sum(r)| < sigma
         if math.fsum(parts + [sigma]) == total == math.fsum(parts + [-sigma]):
             break
-        q = r + sigma
+        np.add(r, sigma, out=q)
         q -= sigma
         parts.append(float(np.sum(q)))
-        r = r - q
-        top = float(np.max(np.abs(r)))
+        if r is cells:
+            r = r - q  # the field's own cells are read-only
+        else:
+            r -= q
+        top = float(max(r.max(), -r.min()))
     return math.fsum(parts) * f.dx * f.dx

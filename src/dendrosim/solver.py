@@ -18,11 +18,13 @@ from .lattice import (
     PAPER_CODE,
     DIVISOR_MODES,
     REACH,
+    Box,
     Field,
     cell_view,
     divisors,
     gradient_arrays,
     halo,
+    inset,
     laplacian9_arrays,
     nonzero_box,
     widen,
@@ -132,6 +134,8 @@ class SimParams:
             raise ValueError(f"dx must be > 0, got {self.dx}")
         if 3.0 * self.dx * self.dx == 0.0:  # stability_check divides by it
             raise ValueError(f"dx={self.dx} is too small: 3 dx^2 underflows to 0")
+        if 3.0 * self.dx * self.dx == math.inf:  # the Laplacian divides by it
+            raise ValueError(f"dx={self.dx} is too large: 3 dx^2 overflows")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.total_steps < 0:
@@ -223,7 +227,44 @@ def initialize(p: SimParams) -> SimState:
     return SimState(phi=Field(phi, p.dx), temp=Field.zeros(p.nx, p.ny, p.dx))
 
 
-def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimState:
+class PassOne(typing.NamedTuple):
+    """A state's pass 1 (see step): its window, the pitch of the halo copy's
+    rows, the phi and T views of that copy that step updates, grad phi, eps
+    and eps' on the window plus one ring, and lap phi and lap T on the
+    window, all at that pitch."""
+
+    window: Box
+    pitch: int
+    phi: np.ndarray
+    temp: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
+    lap_phi: np.ndarray
+    lap_t: np.ndarray
+    eps: np.ndarray
+    eps_prime: np.ndarray
+
+
+def stencil_pass(state: SimState, p: SimParams) -> PassOne:
+    """Pass 1 of step on `state`: the window, its pair halo, grad phi, the
+    pair Laplacian, and eps and eps' of the interface angle, in that order.
+    run computes it once for a state it both samples and steps, and hands it
+    to diagnostics.measure and then to step."""
+    dx, mode = p.dx, p.divisor_mode
+    window = widen(state.box, state.phi.data.shape)
+    h = halo((state.phi.data, state.temp.data), window, REACH)
+    pitch = h.shape[2]
+    f = h.reshape(2, -1)
+    ring = f[:, inset(pitch)]  # the window and one ring
+    phi, temp = ring[:, inset(pitch)]
+    gx, gy = gradient_arrays(f[0], pitch, dx, mode)
+    lap_phi, lap_t = laplacian9_arrays(ring, pitch, dx)
+    eps, eps_prime = epsilon_of_theta(interface_angle(gx, gy), p)
+    return PassOne(window, pitch, phi, temp, gx, gy, lap_phi, lap_t, eps, eps_prime)
+
+
+def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
+         stencils: PassOne | None = None) -> SimState:
     """Advance one step on cells of side p.dx, the spacing the stability
     check in SimParams passed; a state field of another spacing, or of
     another shape than p.nx x p.ny, is a ValueError.
@@ -250,6 +291,10 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     and T + dt lap(T): they and phi are cut to the window's cells
     (cell_view), and the noise, the window of one whole-grid draw, and the
     update run on cells.
+    stencil_pass computes pass 1 up to eps and eps'.  `stencils` is that
+    pass 1 already computed for this state and p: run computes it once for a
+    state it both samples and steps, so measure and step share it.  It gives
+    the bits step computes without it, and step drops it once read.
     Pass 2 is purely elementwise:
 
         term1 =  d/dy [eps eps' dphi/dx]
@@ -278,17 +323,11 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
             raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     dx, mode = p.dx, p.divisor_mode
     shape = state.phi.data.shape
-    window = widen(state.box, shape)
-    h = halo((state.phi.data, state.temp.data), window, REACH)
-    pitch = h.shape[2]
-    f = h.reshape(2, -1)
-    inset = slice(pitch + 1, -pitch - 1)  # a flat array less one ring
-    ring = f[:, inset]  # the window and one ring
-    phi, temp = ring[:, inset]
-    gx, gy = gradient_arrays(f[0], pitch, dx, mode)
-    lap_phi, lap_t = laplacian9_arrays(ring, pitch, dx)
+    if stencils is None:
+        stencils = stencil_pass(state, p)
+    window, pitch, phi, temp, gx, gy, lap_phi, lap_t, eps, eps_prime = stencils
+    del stencils  # so the dels below free what they name
 
-    eps, eps_prime = epsilon_of_theta(interface_angle(gx, gy), p)
     eps2 = eps * eps
     flux = eps * eps_prime
     del eps, eps_prime
@@ -315,9 +354,10 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None) -> SimStat
     # leave the top of the heap free, and the allocator returns it to the
     # system at every step, to fault it back in at the next
     del qx, qy
-    term3 = ge2x * gx[inset] + ge2y * gy[inset]
+    inner = inset(pitch)
+    term3 = ge2x * gx[inner] + ge2y * gy[inner]
     m = m_of_temperature(temp, p)
-    rhs = (term1 + term2) + term3 + (eps2[inset] * lap_phi + reaction_term(phi, m))
+    rhs = (term1 + term2) + term3 + (eps2[inner] * lap_phi + reaction_term(phi, m))
     # from here on, the window's cells only
     cols = pitch - 2 * REACH
     rhs, phi = (cell_view(a, pitch, cols) for a in (rhs, phi))
@@ -360,6 +400,9 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
     final step; diagnostics likewise with diagnostics_every.  Identical params
     (including rng_seed) give bitwise identical emitted data.  On blow-up the
     last good state is emitted as a snapshot before the error propagates.
+    A state that is sampled and then stepped gets one stencil_pass, which
+    diagnostics.measure and step share; the records are those of measure
+    alone.
 
     Returns (final state, list of DiagnosticsRecord).
     """
@@ -369,25 +412,28 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
 
     emit = on_snapshot or (lambda st: None)
 
-    def sample(st):
-        # looked up on the module, so a wrapper set on diagnostics.measure
-        # (the bench's span tracer) sees these calls
-        rec = diagnostics.measure(st, p)
+    # measure and step are looked up on their modules, so a wrapper set on
+    # them (the bench's span tracer) sees these calls
+    def sample(st, stepped):
+        """Measure st; return its pass 1 when st is stepped next."""
+        stencils = stencil_pass(st, p) if stepped else None
+        rec = diagnostics.measure(st, p, stencils=stencils)
         records.append(rec)
         if on_diagnostics is not None:
             on_diagnostics(rec)
+        return stencils
 
     emit(state)
-    sample(state)
-    for _ in range(p.total_steps):
+    while state.step < p.total_steps:
+        sampled = state.step % p.diagnostics_every == 0
         try:
-            state = step(state, p, rng)
+            # no name here holds the pass 1, so step frees it as it reads it
+            state = step(state, p, rng,
+                         stencils=sample(state, stepped=True) if sampled else None)
         except BlowupError:
             emit(state)
             raise
-        last = state.step == p.total_steps
-        if state.step % p.snapshot_every == 0 or last:
+        if state.step % p.snapshot_every == 0 or state.step == p.total_steps:
             emit(state)
-        if state.step % p.diagnostics_every == 0 or last:
-            sample(state)
+    sample(state, stepped=False)
     return state, records

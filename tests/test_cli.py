@@ -467,16 +467,19 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("force", [[], ["--force"]])
     @pytest.mark.parametrize("command", ["run", "sweep", "check"])
-    def test_dx_whose_square_underflows_is_config_error(self, command, force, tmp_path, capsys):
-        # 3 dx^2 is 0.0 at dx = 1e-300, and the stability bounds divide by it
+    @pytest.mark.parametrize("dx", ["1e-300", "1e200", "1e154"])
+    def test_dx_whose_square_underflows_is_config_error(self, dx, command, force, tmp_path,
+                                                        capsys):
+        # 3 dx^2 is 0.0 at dx = 1e-300, and the stability bounds divide by
+        # it; it is inf at 1e200 and 1e154, and the Laplacian divides by it
         extra = {
             "run": ["--out", str(tmp_path / "o")],
             "sweep": ["--param", "latent_heat", "--values", "1.0", "--out", str(tmp_path / "s")],
             "check": [],
         }[command]
-        assert main([command, *BASE, *force, "--set", "dx=1e-300", *extra]) == 2
+        assert main([command, *BASE, *force, "--set", f"dx={dx}", *extra]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: dx=1e-300") and len(err.splitlines()) == 1
+        assert err.startswith(f"config error: dx={float(dx)}") and len(err.splitlines()) == 1
 
 
 class TestReadme:

@@ -122,6 +122,8 @@ class TestSimParamsValidation:
             ({"ny": 1}, "nx/ny"),
             ({"dx": 0.0}, "dx"),
             ({"dx": 1e-300}, "dx"),  # 3 dx^2 underflows, and the bounds divide by it
+            ({"dx": 1e200}, "dx"),  # 3 dx^2 overflows: no diffusion, dt_max_thermal inf
+            ({"dx": 1e154}, "dx"),  # dx^2 is finite, 3 dx^2 is not
             ({"dt": 0.0}, "dt"),
             ({"total_steps": -1}, "total_steps"),
             ({"seed_radius_sq": -1.0}, "seed_radius_sq"),
