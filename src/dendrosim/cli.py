@@ -80,11 +80,13 @@ def _reason(exc: Exception) -> str:
     return str(exc) or type(exc).__name__
 
 
-def _execute_run(params: SimParams, outdir: Path):
+def _execute_run(params: SimParams, outdir: Path, label: str = ""):
     """One full simulation with the standard artifact set in outdir.
 
     Returns (exit code, last diagnostics record or None).  On blow-up the
-    snapshots and diagnostics gathered so far are still written.
+    snapshots and diagnostics gathered so far are still written, and the
+    blow-up is one stderr line, named by `label` (a sweep's key=token):
+    numpy's floating-point warnings are off for the run, in this thread.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -100,7 +102,8 @@ def _execute_run(params: SimParams, outdir: Path):
     failure = None
     state = None
     try:
-        state, _ = run(params, on_snapshot=save_state, on_diagnostics=records.append)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            state, _ = run(params, on_snapshot=save_state, on_diagnostics=records.append)
     except BlowupError as exc:
         failure = exc
     write_diagnostics_csv(records, outdir / "diagnostics.csv")
@@ -112,7 +115,7 @@ def _execute_run(params: SimParams, outdir: Path):
     write_manifest(outdir / "manifest.json", params, outputs, _versions())
     last = records[-1] if records else None
     if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
+        print(f"error: {label}{failure}", file=sys.stderr)
         return 1, last
     return 0, last
 
@@ -161,7 +164,7 @@ def cmd_sweep(args) -> int:
     def one(item):
         tok, params = item
         try:
-            return _execute_run(params, outroot / f"{key}={tok}")
+            return _execute_run(params, outroot / f"{key}={tok}", f"{key}={tok}: ")
         except (OSError, MemoryError) as exc:
             print(f"error: {key}={tok}: {_reason(exc)}", file=sys.stderr)
             return 1, None

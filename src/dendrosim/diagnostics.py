@@ -12,13 +12,7 @@ import numpy as np
 
 from .lattice import (CENTERED, PAPER_CODE, Field, cell_view, gradient_arrays, halo, inset,
                       lattice_sum, widen)
-from .physics import (
-    anisotropy_phase,
-    double_well,
-    epsilon_of_phase,
-    interface_angle,
-    m_of_temperature,
-)
+from .physics import double_well, epsilon_of_theta, interface_angle, m_of_temperature
 
 SOLID_THRESHOLD = 0.5
 # arm_count: the least swing of the sector radius profile, in grid cells, that
@@ -158,11 +152,12 @@ def free_energy(phi: Field, m_field: Field, p) -> float:
 def _energy_sum(phi: Field, m_field: Field, grad, pitch: int, p, eps=None) -> float:
     """free_energy's sum on the cells of phi, from grad = (gx, gy), the
     centred gradient of phi laid out at `pitch` from cell (0, 0), and eps at
-    the same positions, which is computed from grad when not given."""
+    the same positions, which is computed from grad when not given: the
+    first of epsilon_of_theta's pair, whose eps' is dropped as it is made."""
     gx, gy = grad
     del grad  # free_energy names no tuple, so its arrays go with gx and gy
     if eps is None:
-        eps = epsilon_of_phase(anisotropy_phase(interface_angle(gx, gy), p), p)
+        eps = epsilon_of_theta(interface_angle(gx, gy), p)[0]
     bend = 0.5 * eps * eps * (gx * gx + gy * gy)
     del gx, gy, eps
     density = double_well(phi.data, m_field.data) + cell_view(bend, pitch, phi.ny)
@@ -182,10 +177,11 @@ def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
     which depends on the cell count: there both sums fall back to numpy's
     and may differ.
 
-    `stencils` is the state's solver.stencil_pass, which run computes once
-    for a state it samples and then steps.  The free energy then takes eps
-    and grad phi on the window from it, not from a halo and stencils of its
-    own; under paper_code that gradient is twice the centred one, and
+    `stencils` is the state's solver.stencil_pass, which run computes for
+    every state it samples, so every record of a run is made from one.  The
+    free energy then takes eps and grad phi on the window from it, not from
+    a halo and stencils of its own, as free_energy does for a call without
+    it; under paper_code that gradient is twice the centred one, and
     halving it is exact (a subnormal component squares to 0 either way), as
     is the doubling of both arguments of arctan2.  The record is the same.
     """

@@ -202,14 +202,13 @@ def lattice_sum(f: Field) -> float:
     where sigma itself would overflow; only there is the cell sum not
     correctly rounded.
     """
-    cells = f.data.ravel()
-    r = cells
+    r = f.data.ravel()
     top = float(max(r.max(), -r.min()))  # max |r|, NaN if r holds one
     scale = (r.size + 1).bit_length()
     if not math.isfinite(top) or math.frexp(top)[1] + scale > 1023:
         return float(np.sum(r)) * f.dx * f.dx
     parts = []
-    q = np.empty_like(r)
+    q, rest = np.empty_like(r), np.empty_like(r)
     while top:
         sigma = math.ldexp(1.0, scale + math.frexp(top)[1])
         total = math.fsum(parts)
@@ -219,9 +218,7 @@ def lattice_sum(f: Field) -> float:
         np.add(r, sigma, out=q)
         q -= sigma
         parts.append(float(np.sum(q)))
-        if r is cells:
-            r = r - q  # the field's own cells are read-only
-        else:
-            r -= q
+        # into rest, not the field's cells; in place from the second pass on
+        r = np.subtract(r, q, out=rest)
         top = float(max(r.max(), -r.min()))
     return math.fsum(parts) * f.dx * f.dx

@@ -49,21 +49,11 @@ def interface_angle(gx, gy):
     return np.arctan2(gy, gx)
 
 
-def anisotropy_phase(theta, p):
-    """u = j_mode (theta - theta0), the angle inside eps and eps'."""
-    return p.j_mode * (np.asarray(theta, dtype=np.float64) - p.theta0)
-
-
-def epsilon_of_phase(u, p):
-    """Anisotropic coefficient eps = eps_bar (1 + delta cos u) alone, without
-    the sin pass of eps'."""
-    return p.eps_bar * (1.0 + p.delta * np.cos(u))
-
-
 def epsilon_of_theta(theta, p):
-    """Anisotropic coefficient eps(theta) and its derivative d(eps)/d(theta)."""
-    u = anisotropy_phase(theta, p)
-    eps = epsilon_of_phase(u, p)
+    """Anisotropic coefficient eps(theta) = eps_bar (1 + delta cos u) and its
+    derivative d(eps)/d(theta), where u = j_mode (theta - theta0)."""
+    u = p.j_mode * (np.asarray(theta, dtype=np.float64) - p.theta0)
+    eps = p.eps_bar * (1.0 + p.delta * np.cos(u))
     eps_prime = -p.eps_bar * p.j_mode * p.delta * np.sin(u)
     return eps, eps_prime
 

@@ -116,8 +116,8 @@ class SimParams:
             raise ValueError(f"eps_bar must be >= 0, got {self.eps_bar}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
-        if self.j_mode < 1:
-            raise ValueError(f"j_mode must be a positive integer, got {self.j_mode}")
+        if not 1 <= self.j_mode <= 2**53:  # past 2**53 an int is no exact float64
+            raise ValueError(f"j_mode must be a positive integer at most 2**53, got {self.j_mode}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.gamma <= 0.0:
@@ -248,8 +248,8 @@ class PassOne(typing.NamedTuple):
 def stencil_pass(state: SimState, p: SimParams) -> PassOne:
     """Pass 1 of step on `state`: the window, its pair halo, grad phi, the
     pair Laplacian, and eps and eps' of the interface angle, in that order.
-    run computes it once for a state it both samples and steps, and hands it
-    to diagnostics.measure and then to step."""
+    run computes it once for each state it samples and hands it to
+    diagnostics.measure, and then to step when the state is stepped next."""
     dx, mode = p.dx, p.divisor_mode
     window = widen(state.box, state.phi.data.shape)
     h = halo((state.phi.data, state.temp.data), window, REACH)
@@ -292,8 +292,8 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     (cell_view), and the noise, the window of one whole-grid draw, and the
     update run on cells.
     stencil_pass computes pass 1 up to eps and eps'.  `stencils` is that
-    pass 1 already computed for this state and p: run computes it once for a
-    state it both samples and steps, so measure and step share it.  It gives
+    pass 1 already computed for this state and p: run computes it once for
+    each state it samples, so measure and step share it.  It gives
     the bits step computes without it, and step drops it once read.
     Pass 2 is purely elementwise:
 
@@ -400,9 +400,9 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
     final step; diagnostics likewise with diagnostics_every.  Identical params
     (including rng_seed) give bitwise identical emitted data.  On blow-up the
     last good state is emitted as a snapshot before the error propagates.
-    A state that is sampled and then stepped gets one stencil_pass, which
-    diagnostics.measure and step share; the records are those of measure
-    alone.
+    Every sampled state, the final one too, gets one stencil_pass, which
+    diagnostics.measure reads and step, for a state stepped next, then
+    uses; the records are those of measure alone.
 
     Returns (final state, list of DiagnosticsRecord).
     """
@@ -414,9 +414,9 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
 
     # measure and step are looked up on their modules, so a wrapper set on
     # them (the bench's span tracer) sees these calls
-    def sample(st, stepped):
-        """Measure st; return its pass 1 when st is stepped next."""
-        stencils = stencil_pass(st, p) if stepped else None
+    def sample(st):
+        """Measure st on its pass 1, and return that pass 1."""
+        stencils = stencil_pass(st, p)
         rec = diagnostics.measure(st, p, stencils=stencils)
         records.append(rec)
         if on_diagnostics is not None:
@@ -429,11 +429,11 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
         try:
             # no name here holds the pass 1, so step frees it as it reads it
             state = step(state, p, rng,
-                         stencils=sample(state, stepped=True) if sampled else None)
+                         stencils=sample(state) if sampled else None)
         except BlowupError:
             emit(state)
             raise
         if state.step % p.snapshot_every == 0 or state.step == p.total_steps:
             emit(state)
-    sample(state, stepped=False)
+    sample(state)
     return state, records

@@ -119,8 +119,6 @@ class TestRun:
         assert manifest["params"]["nx"] == 20
         assert manifest["params"]["ny"] == 16
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_blowup_reports_failure_but_keeps_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["run", "--set", "nx=16", "--set", "ny=16", "--set", "dt=1.0",
@@ -373,8 +371,6 @@ class TestSweep:
         assert "latent_heat=1.2" in captured.err
         assert "2/3 runs ok" in captured.out
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failed_run_marked_and_others_continue(self, tmp_path, capsys):
         out = tmp_path / "s"
         code = main(["sweep", "--set", "nx=16", "--set", "ny=16",
@@ -385,6 +381,7 @@ class TestSweep:
         summary = (out / "sweep_summary.csv").read_text().splitlines()
         assert summary[1].startswith("0.0,ok,")
         assert summary[2] == "1e12,failed,nan,nan,nan,nan,nan,nan"
+        assert captured.err == "error: noise_amp=1e12: non-finite phi at step 6, cell (3, 6)\n"
         assert "1/2 runs ok" in captured.out
         assert (out / "noise_amp=0.0" / "phi_final.pgm").exists()
 
@@ -451,6 +448,31 @@ class TestTopLevel:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    def test_blowup_is_the_warning_and_error_lines_alone(self, tmp_path):
+        # without numpy's floating-point warnings off for the run, its
+        # RuntimeWarnings (with source lines) would come before the error
+        env = {**os.environ, "PYTHONPATH": str(Path(dendrosim.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dendrosim.cli", "run", "--force", "--set", "nx=16",
+             "--set", "ny=16", "--set", "dt=1e-3", "--set", "total_steps=40",
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "warning: dt = 0.001 exceeds the stability bound (thermal 0.00033749999999999996, "
+            "phase 0.000385975278521667); proceeding under --force",
+            "error: non-finite phi at step 10, cell (5, 8)",
+        ]
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_j_mode_past_exact_float_is_config_error(self, command, tmp_path, capsys):
+        # 2**53 + 1 is the least int that float64 does not hold exactly
+        extra = {"run": ["--out", str(tmp_path / "o")], "check": []}[command]
+        assert main([command, *BASE, "--set", f"j_mode={2**53 + 1}", *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: j_mode must be a positive integer at most 2**53")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("setting", ["dx=nan", "tau=nan", "gamma=inf", "seed_radius_sq=nan"])
     @pytest.mark.parametrize("command", ["run", "sweep", "check"])

@@ -10,9 +10,7 @@ import reference as R
 from dendrosim.solver import SimParams
 from dendrosim.physics import (
     RngStream,
-    anisotropy_phase,
     double_well,
-    epsilon_of_phase,
     epsilon_of_theta,
     interface_angle,
     m_of_temperature,
@@ -39,6 +37,8 @@ class TestModelParams:
             ({"delta": 1.0}, "delta"),
             ({"delta": -0.1}, "delta"),
             ({"j_mode": 0}, "j_mode"),
+            ({"j_mode": 2**53 + 1}, "j_mode"),
+            ({"j_mode": 10**400}, "j_mode"),
             ({"alpha": 0.0}, "alpha"),
             ({"alpha": 1.0}, "alpha"),
             ({"gamma": 0.0}, "gamma"),
@@ -50,6 +50,9 @@ class TestModelParams:
     def test_invalid_values_name_the_field(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             SimParams(**kwargs)
+
+    def test_j_mode_up_to_the_last_exact_float_allowed(self):
+        assert SimParams(j_mode=2**53).j_mode == 2**53
 
     def test_zero_anisotropy_coefficient_allowed(self):
         # eps_bar = 0 removes phase diffusion entirely; useful for limits
@@ -143,10 +146,8 @@ class TestEpsilonOfTheta:
     def test_eps_alone_is_the_first_of_the_pair_bitwise(self, j_mode):
         p = SimParams(j_mode=j_mode, delta=0.04, theta0=0.3)
         thetas = np.random.default_rng(8).uniform(-math.pi, math.pi, 500)
-        eps_alone = epsilon_of_phase(anisotropy_phase(thetas, p), p)
-        assert eps_alone.tobytes() == epsilon_of_theta(thetas, p)[0].tobytes()
         eps, eps_prime = R.roll_epsilon(thetas, p)
-        assert eps.tobytes() == eps_alone.tobytes()
+        assert eps.tobytes() == epsilon_of_theta(thetas, p)[0].tobytes()
         assert eps_prime.tobytes() == epsilon_of_theta(thetas, p)[1].tobytes()
 
 

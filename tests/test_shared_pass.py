@@ -77,8 +77,11 @@ class TestRunSharesPassOne:
 
     @pytest.mark.parametrize("p", [SAMPLE_DENSE, BUG_CENTERED,
                                    SimParams(nx=40, ny=47, total_steps=120, noise_amp=0.02,
-                                             rng_seed=9, j_mode=6, diagnostics_every=1)],
-                             ids=["sample-dense", "bug-centered", "across-the-edge"])
+                                             rng_seed=9, j_mode=6, diagnostics_every=1),
+                                   SimParams(nx=48, ny=40, total_steps=50, noise_amp=0.01,
+                                             rng_seed=3, diagnostics_every=7)],
+                             ids=["sample-dense", "bug-centered", "across-the-edge",
+                                  "final-off-cadence"])
     def test_records_and_final_state(self, p):
         expected, last = [], None
         for st in states(p):
@@ -107,10 +110,11 @@ class TestRunSharesPassOne:
         monkeypatch.setattr(solver, "stencil_pass", counting_pass)
         monkeypatch.setattr(solver, "step", recording_step)
         run(p)
-        # sampled states 0, 2, 4 are stepped with run's pass 1; state 6 is
-        # sampled without one; the others compute their own inside step
+        # sampled states 0, 2, 4 are stepped with run's pass 1, and the final
+        # state 6 gets one for its sample alone; the others compute theirs
+        # in step
         assert given_to_step == [(n, n % 2 == 0) for n in range(6)]
-        assert passes == [0, 1, 2, 3, 4, 5]
+        assert passes == [0, 1, 2, 3, 4, 5, 6]
 
 
 def normal_or_zero(limit):
