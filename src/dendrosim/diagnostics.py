@@ -93,7 +93,7 @@ def _radius_profile(phi: Field) -> np.ndarray:
     u = np.choose(quadrant, (di, dj, -di, -dj)).astype(float)
     v = np.choose(quadrant, (dj, -di, -dj, di)).astype(float)
 
-    profile = np.zeros(360)
+    profile = np.zeros(450)
     radius = np.hypot(u * dx, v * dx)
     # folded cells have u >= 1 and v >= 0, so all four corners stay in the
     # open right half-plane, where the angle grows with y and, above the
@@ -109,11 +109,14 @@ def _radius_profile(phi: Field) -> np.ndarray:
     # less the index of the cell's first pair
     n = hi - lo + 1
     first = np.cumsum(n) - n
-    sector = np.repeat(quadrant * 90 + lo - first, n)
-    sector += np.arange(sector.size)
-    sector %= 360
-    np.maximum.at(profile, sector, np.repeat(radius, n))
-    return profile
+    # slot = sector + 90: a sector of quadrant 0 may start below the x axis
+    # (lo >= -45), and slots 0-89 then fold onto sectors 270-359 (slots
+    # 360-449); every max is exact, so the fold keeps every bit
+    slot = np.repeat(quadrant * 90 + 90 + lo - first, n)
+    slot += np.arange(slot.size)
+    np.maximum.at(profile, slot, np.repeat(radius, n))
+    np.maximum(profile[360:], profile[:90], out=profile[360:])
+    return profile[90:]
 
 
 def arm_count(phi: Field) -> int:
@@ -158,9 +161,16 @@ def _energy_sum(phi: Field, m_field: Field, grad, pitch: int, p, eps=None) -> fl
     del grad  # free_energy names no tuple, so its arrays go with gx and gy
     if eps is None:
         eps = epsilon_of_theta(interface_angle(gx, gy), p)[0]
-    bend = 0.5 * eps * eps * (gx * gx + gy * gy)
-    del gx, gy, eps
-    density = double_well(phi.data, m_field.data) + cell_view(bend, pitch, phi.ny)
+    # 0.5 eps eps (gx gx + gy gy) in place, in that order; gx, gy and eps
+    # may be views of a pass 1, so they are only read
+    bend = eps * 0.5
+    bend *= eps
+    g2 = gx * gx
+    g2 += gy * gy
+    bend *= g2
+    del gx, gy, eps, g2
+    density = double_well(phi.data, m_field.data)
+    density += cell_view(bend, pitch, phi.ny)
     return lattice_sum(Field(density, phi.dx))
 
 

@@ -229,38 +229,35 @@ def initialize(p: SimParams) -> SimState:
 
 class PassOne(typing.NamedTuple):
     """A state's pass 1 (see step): its window, the pitch of the halo copy's
-    rows, the phi and T views of that copy that step updates, grad phi, eps
-    and eps' on the window plus one ring, and lap phi and lap T on the
-    window, all at that pitch."""
+    rows, the (2, ...) view of that copy's window plus one ring, from which
+    step takes the phi and T it updates and its pair Laplacian, and grad
+    phi, eps and eps' on the window plus one ring, all at that pitch."""
 
     window: Box
     pitch: int
-    phi: np.ndarray
-    temp: np.ndarray
+    ring: np.ndarray
     gx: np.ndarray
     gy: np.ndarray
-    lap_phi: np.ndarray
-    lap_t: np.ndarray
     eps: np.ndarray
     eps_prime: np.ndarray
 
 
 def stencil_pass(state: SimState, p: SimParams) -> PassOne:
-    """Pass 1 of step on `state`: the window, its pair halo, grad phi, the
-    pair Laplacian, and eps and eps' of the interface angle, in that order.
-    run computes it once for each state it samples and hands it to
-    diagnostics.measure, and then to step when the state is stepped next."""
+    """Pass 1 of step on `state`: the window, its pair halo, grad phi, and
+    eps and eps' of the interface angle, in that order.  The pair Laplacian,
+    which measure does not read, is left to step, which takes it from the
+    halo's `ring`.  run computes it once for each state it samples and hands
+    it to diagnostics.measure, and then to step when the state is stepped
+    next."""
     dx, mode = p.dx, p.divisor_mode
     window = widen(state.box, state.phi.data.shape)
     h = halo((state.phi.data, state.temp.data), window, REACH)
     pitch = h.shape[2]
     f = h.reshape(2, -1)
     ring = f[:, inset(pitch)]  # the window and one ring
-    phi, temp = ring[:, inset(pitch)]
     gx, gy = gradient_arrays(f[0], pitch, dx, mode)
-    lap_phi, lap_t = laplacian9_arrays(ring, pitch, dx)
     eps, eps_prime = epsilon_of_theta(interface_angle(gx, gy), p)
-    return PassOne(window, pitch, phi, temp, gx, gy, lap_phi, lap_t, eps, eps_prime)
+    return PassOne(window, pitch, ring, gx, gy, eps, eps_prime)
 
 
 def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
@@ -291,10 +288,12 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     and T + dt lap(T): they and phi are cut to the window's cells
     (cell_view), and the noise, the window of one whole-grid draw, and the
     update run on cells.
-    stencil_pass computes pass 1 up to eps and eps'.  `stencils` is that
-    pass 1 already computed for this state and p: run computes it once for
-    each state it samples, so measure and step share it.  It gives
-    the bits step computes without it, and step drops it once read.
+    stencil_pass computes pass 1 up to eps and eps', less the pair
+    Laplacian, which step then takes from the halo's ring, so a pass 1 that
+    only measure reads (a run's final sample) computes none.  `stencils` is
+    that pass 1 already computed for this state and p: run computes it once
+    for each state it samples, so measure and step share it.  It gives the
+    bits step computes without it, and step drops it once read.
     Pass 2 is purely elementwise:
 
         term1 =  d/dy [eps eps' dphi/dx]
@@ -325,8 +324,12 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     shape = state.phi.data.shape
     if stencils is None:
         stencils = stencil_pass(state, p)
-    window, pitch, phi, temp, gx, gy, lap_phi, lap_t, eps, eps_prime = stencils
+    window, pitch, ring, gx, gy, eps, eps_prime = stencils
     del stencils  # so the dels below free what they name
+    inner = inset(pitch)
+    phi, temp = ring[:, inner]
+    lap_phi, lap_t = laplacian9_arrays(ring, pitch, dx)
+    del ring
 
     eps2 = eps * eps
     flux = eps * eps_prime
@@ -354,7 +357,6 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     # leave the top of the heap free, and the allocator returns it to the
     # system at every step, to fault it back in at the next
     del qx, qy
-    inner = inset(pitch)
     term3 = ge2x * gx[inner] + ge2y * gy[inner]
     m = m_of_temperature(temp, p)
     rhs = (term1 + term2) + term3 + (eps2[inner] * lap_phi + reaction_term(phi, m))

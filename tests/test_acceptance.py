@@ -15,7 +15,7 @@ import pytest
 import reference as R
 from dendrosim.cli import PRESETS, main
 from dendrosim.diagnostics import ARM_MIN_CELLS, arm_count, free_energy
-from dendrosim.io import params_from_dict
+from dendrosim.io import csv_row, params_from_dict
 from dendrosim.lattice import Field, lattice_sum
 from dendrosim.physics import (
     double_well,
@@ -218,6 +218,23 @@ def test_run_matches_the_recorded_fingerprint():
     for f in (state.phi, state.temp):
         digest.update(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
     assert digest.hexdigest() == spec["sha256"]
+
+
+@pytest.mark.parametrize("config, sha256", [
+    (json.loads(FINGERPRINT.read_text(encoding="utf-8"))["config"],
+     "92143225af55554f1e260de9fe7ca3cb680ac1805a02410fe20b8bb1f901c421"),
+    # the bench's sample-dense run: a record every step
+    (dict(nx=128, ny=128, total_steps=100, diagnostics_every=1, snapshot_every=10, rng_seed=1),
+     "99a6695127f0181da591a1354f501211a32f2a5da860e59990ee5a130fcc068f"),
+], ids=["fingerprint", "sample-dense"])
+def test_run_records_match_the_recorded_bytes(config, sha256):
+    # SHA-256 of the CSV rows of every record, one line each: the bytes of
+    # diagnostics.csv less its header
+    _, records = run(params_from_dict(config))
+    digest = hashlib.sha256()
+    for r in records:
+        digest.update((csv_row(r) + "\n").encode("ascii"))
+    assert digest.hexdigest() == sha256
 
 
 def test_acceptance_09_dihedral_symmetry(acceptance):

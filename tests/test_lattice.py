@@ -434,6 +434,13 @@ class TestLaplacian:
             np.testing.assert_array_equal(laplacian2d(wrapped(img), 0.5), exp)
 
 
+def fsum_area(a, dx=0.03):
+    return math.fsum(a.ravel().tolist()) * dx * dx
+
+
+ADVERSARIAL_SHAPES = [(3, 3), (3, 5), (7, 9), (15, 17), (31, 33), (40, 50)]
+
+
 class TestLatticeSum:
     def test_zeros(self):
         assert lattice_sum(Field.zeros(10, 10, 0.03)) == 0.0
@@ -485,3 +492,42 @@ class TestLatticeSum:
     def test_cells_near_overflow_use_plain_sum(self):
         f = Field(np.full((4, 4), 1e307), 1.0)
         assert lattice_sum(f) == 16 * 1e307
+
+    # fields whose float sum of the first pass's remainder cannot settle the
+    # rounded total, so lattice_sum goes on extracting; each against math.fsum
+    @pytest.mark.parametrize("shape", ADVERSARIAL_SHAPES)
+    @pytest.mark.parametrize("nudge", [0.0, math.ldexp(1.0, -200), -math.ldexp(1.0, -200)])
+    def test_rounding_midpoint(self, shape, nudge):
+        # 1 + 2**-53 is halfway between 1 and the next float: it rounds to
+        # even (1), and any nudge decides the other way or keeps it
+        a = np.zeros(shape)
+        a[0, 0], a[-1, -1], a[1, 2] = 1.0, math.ldexp(1.0, -53), nudge
+        expected = fsum_area(a)
+        assert lattice_sum(Field(a, 0.03)) == expected
+        assert lattice_sum(Field(-a, 0.03)) == -expected
+
+    @pytest.mark.parametrize("shape", ADVERSARIAL_SHAPES)
+    def test_all_subnormal(self, shape):
+        # the certified error bound underflows to 0 here
+        rng = np.random.default_rng(31)
+        a = rng.integers(-2**52 + 1, 2**52, size=shape) * math.ldexp(1.0, -1074)
+        assert np.all(np.abs(a) < np.finfo(float).smallest_normal)
+        assert lattice_sum(Field(a, 0.03)) == fsum_area(a)
+
+    @pytest.mark.parametrize("shape", [*ADVERSARIAL_SHAPES, (300, 300)])
+    @pytest.mark.parametrize("value", [1.0, -1.0, 0.75, math.ldexp(1.0, -1070)])
+    def test_single_nonzero_cell(self, shape, value):
+        # on 300 x 300 cells the bound spans the float below 1.0
+        a = np.zeros(shape)
+        a[shape[0] // 2, shape[1] // 3] = value
+        assert lattice_sum(Field(a, 0.03)) == fsum_area(a) == value * 0.03 * 0.03
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_cell_count_one_below_a_power_of_two(self, k):
+        # n = 2**(2k) - 1 cells of 1.0, one of them raised by half an ulp of
+        # their sum: a midpoint, which rounds to the even n
+        n = 4**k - 1
+        a = np.ones((2**k - 1, 2**k + 1))
+        a[0, 0] += math.ldexp(1.0, 2 * k - 54)
+        assert lattice_sum(Field(a, 1.0)) == fsum_area(a, 1.0) == n
+        assert lattice_sum(Field(-a, 1.0)) == fsum_area(-a, 1.0) == -n

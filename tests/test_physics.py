@@ -196,6 +196,22 @@ class TestDoubleWell:
         fd = (double_well(P + h, M) - double_well(P - h, M)) / (2 * h)
         assert np.max(np.abs(reaction_term(P, M) + fd)) < 1e-8
 
+    @pytest.mark.parametrize("phi_shape, m_shape", [
+        ((40, 30), (40, 30)), ((40, 1), (1, 30)), ((40, 30), ()), ((), (40, 30)), ((), ()),
+    ])
+    def test_bits_of_the_one_expression_form(self, phi_shape, m_shape):
+        # the in-place build against the expression it replaces, broadcast
+        rng = np.random.default_rng(41)
+        phi = rng.uniform(-0.5, 1.5, phi_shape)
+        m = rng.uniform(-0.45, 0.45, m_shape)
+        p2 = phi * phi
+        want = 0.25 * (p2 * p2) - (0.5 - m / 3.0) * (p2 * phi) + (0.25 - 0.5 * m) * p2
+        got = double_well(phi, m)
+        assert np.shape(got) == np.shape(want) and np.ndim(got) == np.ndim(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if not phi_shape and not m_shape:
+            assert double_well(float(phi), float(m)) == want
+
 
 class TestReactionTerm:
     def test_vanishes_at_both_wells(self):
