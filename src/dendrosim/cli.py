@@ -83,7 +83,7 @@ def _reason(exc: Exception) -> str:
 def _execute_run(params: SimParams, outdir: Path, label: str = ""):
     """One full simulation with the standard artifact set in outdir.
 
-    Returns (exit code, last diagnostics record or None).  On blow-up the
+    Returns (exit code, last diagnostics record).  On blow-up the
     snapshots and diagnostics gathered so far are still written, and the
     blow-up is one stderr line, named by `label` (a sweep's key=token):
     numpy's floating-point warnings are off for the run, in this thread.
@@ -96,11 +96,9 @@ def _execute_run(params: SimParams, outdir: Path, label: str = ""):
         for name, field in (("phi", st.phi), ("temp", st.temp)):
             fname = f"{name}_{st.step:06d}.pfds"
             write_snapshot(field, outdir / fname, name=name, step=st.step, dt=params.dt)
-            if fname not in outputs:
-                outputs.append(fname)
+            outputs.append(fname)
 
     failure = None
-    state = None
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             state, _ = run(params, on_snapshot=save_state, on_diagnostics=records.append)
@@ -113,11 +111,10 @@ def _execute_run(params: SimParams, outdir: Path, label: str = ""):
         outputs.append("phi_final.pgm")
     outputs.append("manifest.json")
     write_manifest(outdir / "manifest.json", params, outputs, _versions())
-    last = records[-1] if records else None
     if failure is not None:
         print(f"error: {label}{failure}", file=sys.stderr)
-        return 1, last
-    return 0, last
+        return 1, records[-1]
+    return 0, records[-1]
 
 
 def _warn_if_unstable(params: SimParams, label: str = "") -> None:
@@ -134,7 +131,7 @@ def cmd_run(args) -> int:
     params = params_from_dict(_collect_overrides(args), allow_unstable=args.force)
     _warn_if_unstable(params)
     code, last = _execute_run(params, Path(args.out))
-    if code == 0 and last is not None:
+    if code == 0:
         print(f"completed {params.total_steps} steps (t = {last.time!r}), "
               f"solid_fraction = {last.solid_fraction!r}, outputs in {args.out}")
     return code
@@ -174,7 +171,7 @@ def cmd_sweep(args) -> int:
 
     lines = [SWEEP_HEADER]
     for tok, (code, last) in zip(plan, results):
-        if code == 0 and last is not None:
+        if code == 0:
             lines.append(f"{tok},ok,{csv_row(last, SWEEP_FIELDS)}")
         else:
             lines.append(",".join((tok, "failed", *["nan"] * len(SWEEP_FIELDS))))

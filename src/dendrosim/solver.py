@@ -130,6 +130,9 @@ class SimParams:
             raise ValueError(f"noise_amp must be >= 0, got {self.noise_amp}")
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"nx/ny must be >= 3, got {self.nx}x{self.ny}")
+        # step's float64 pair halo has shape (2, nx + 2 REACH, ny + 2 REACH)
+        if 16 * (self.nx + 2 * REACH) * (self.ny + 2 * REACH) > np.iinfo(np.intp).max:
+            raise ValueError(f"nx/ny={self.nx}x{self.ny} is too large for numpy to index")
         if self.dx <= 0.0:
             raise ValueError(f"dx must be > 0, got {self.dx}")
         if 3.0 * self.dx * self.dx == 0.0:  # stability_check divides by it
@@ -401,7 +404,9 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
     Snapshots are emitted at step 0, every snapshot_every steps, and at the
     final step; diagnostics likewise with diagnostics_every.  Identical params
     (including rng_seed) give bitwise identical emitted data.  On blow-up the
-    last good state is emitted as a snapshot before the error propagates.
+    last good state is emitted as a snapshot before the error propagates,
+    unless the cadence emitted it, so on_snapshot sees each state once;
+    state 0 is sampled before any step, so a run has at least one record.
     Every sampled state, the final one too, gets one stencil_pass, which
     diagnostics.measure reads and step, for a state stepped next, then
     uses; the records are those of measure alone.
@@ -433,7 +438,8 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
             state = step(state, p, rng,
                          stencils=sample(state) if sampled else None)
         except BlowupError:
-            emit(state)
+            if state.step % p.snapshot_every:
+                emit(state)
             raise
         if state.step % p.snapshot_every == 0 or state.step == p.total_steps:
             emit(state)

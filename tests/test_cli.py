@@ -136,6 +136,25 @@ class TestRun:
         assert meta["step"] > 0
         assert np.isfinite(field.data).all()
 
+    def test_blowup_writes_each_snapshot_once(self, tmp_path, monkeypatch):
+        # blows up at step 10 with states 0-9 all on the cadence: 20 files,
+        # each written once, and the manifest adds the csv and itself
+        writes = []
+
+        def counting(field, path, **meta):
+            writes.append(Path(path).name)
+            write_snapshot(field, path, **meta)
+
+        monkeypatch.setattr(dendrosim.cli, "write_snapshot", counting)
+        out = tmp_path / "o"
+        assert main(["run", "--force", "--set", "nx=16", "--set", "ny=16", "--set", "dt=1e-3",
+                     "--set", "total_steps=40", "--set", "snapshot_every=1",
+                     "--out", str(out)]) == 1
+        assert len(writes) == len(set(writes)) == 20
+        outputs = read_manifest(out / "manifest.json")["outputs"]
+        assert outputs == [*writes, "diagnostics.csv", "manifest.json"]
+        assert sorted(outputs) == run_files(out)
+
 
 class TestDeterminism:
     def test_identical_invocations_identical_bytes(self, tmp_path):
@@ -464,6 +483,26 @@ class TestTopLevel:
             "phase 0.000385975278521667); proceeding under --force",
             "error: non-finite phi at step 10, cell (5, 8)",
         ]
+
+    @pytest.mark.parametrize("nx", [2**70, 2**63])
+    @pytest.mark.parametrize("command", ["run", "sweep", "check"])
+    def test_grid_numpy_cannot_index_is_config_error(self, command, nx, tmp_path):
+        # 2**70 overflowed numpy's size check in initialize, and 2**63 wrapped
+        # to a 0-row grid; check called both stable
+        extra = {
+            "run": ["--out", str(tmp_path / "o")],
+            "sweep": ["--param", "latent_heat", "--values", "1.0", "--out", str(tmp_path / "s")],
+            "check": [],
+        }[command]
+        env = {**os.environ, "PYTHONPATH": str(Path(dendrosim.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dendrosim.cli", command, "--set", f"nx={nx}", *extra],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"config error: nx/ny={nx}x500 is too large")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_j_mode_past_exact_float_is_config_error(self, command, tmp_path, capsys):

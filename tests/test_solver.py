@@ -120,6 +120,10 @@ class TestSimParamsValidation:
         [
             ({"nx": 2}, "nx/ny"),
             ({"ny": 1}, "nx/ny"),
+            # a float64 pair halo past np.intp's bytes: numpy wraps the
+            # 2**63 extent to 0 and raises on the size of 2**70
+            ({"nx": 2**70}, "nx/ny"),
+            ({"nx": 2**63}, "nx/ny"),
             ({"dx": 0.0}, "dx"),
             ({"dx": 1e-300}, "dx"),  # 3 dx^2 underflows, and the bounds divide by it
             ({"dx": 1e200}, "dx"),  # 3 dx^2 overflows: no diffusion, dt_max_thermal inf
@@ -972,6 +976,16 @@ class TestRunLifecycle:
         _, records = run(p)
         assert [r.step for r in records] == [0, 2, 4, 6, 7]
         assert [r.time for r in records] == [r.step * p.dt for r in records]
+
+    def test_blowup_emits_each_state_once(self):
+        # blows up at step 10; the last good state, 9, is on the cadence
+        p = small_params(nx=16, ny=16, dt=1e-3, total_steps=40, snapshot_every=1,
+                         allow_unstable=True)
+        snaps = []
+        with pytest.raises(BlowupError, match="at step 10,"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run(p, on_snapshot=snaps.append)
+        assert [s.step for s in snaps] == list(range(10))
 
     def test_states_hold_no_negative_zero(self):
         # so a zero gradient always has the angle 0 (physics.interface_angle)
