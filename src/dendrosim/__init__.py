@@ -43,7 +43,6 @@ from .physics import (
     RngStream,
     double_well,
     epsilon_of_theta,
-    interface_angle,
     m_of_temperature,
     noise_term,
     reaction_term,
@@ -77,7 +76,6 @@ __all__ = [
     "format_config",
     "free_energy",
     "initialize",
-    "interface_angle",
     "lattice_sum",
     "m_of_temperature",
     "measure",

@@ -12,7 +12,7 @@ import numpy as np
 
 from .lattice import (CENTERED, PAPER_CODE, Field, cell_view, gradient_arrays, halo, inset,
                       lattice_sum, widen)
-from .physics import double_well, epsilon_of_theta, interface_angle, m_of_temperature
+from .physics import double_well, epsilon_of_theta, m_of_temperature
 
 SOLID_THRESHOLD = 0.5
 # arm_count: the least swing of the sector radius profile, in grid cells, that
@@ -160,7 +160,7 @@ def _energy_sum(phi: Field, m_field: Field, grad, pitch: int, p, eps=None) -> fl
     gx, gy = grad
     del grad  # free_energy names no tuple, so its arrays go with gx and gy
     if eps is None:
-        eps = epsilon_of_theta(interface_angle(gx, gy), p)[0]
+        eps = epsilon_of_theta(gx, gy, p)[0]
     # 0.5 eps eps (gx gx + gy gy) in place, in that order; gx, gy and eps
     # may be views of a pass 1, so they are only read
     bend = eps * 0.5

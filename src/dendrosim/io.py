@@ -147,6 +147,10 @@ def read_snapshot(path) -> tuple[Field, dict]:
         if key not in header:
             raise SnapshotFormatError(f"snapshot header missing '{key}'")
     try:
+        for key in ("nx", "ny"):
+            # int() would also take a sign, spaces and "_" separators
+            if not (header[key].isascii() and header[key].isdigit()):
+                raise ValueError(f"{key} must be decimal digits, got {header[key]!r}")
         nx, ny = int(header["nx"]), int(header["ny"])
         dx = float(header["dx"])
         meta = {"step": int(header["step"]), "dt": float(header["dt"]), "field": header["field"]}

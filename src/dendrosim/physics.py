@@ -42,17 +42,13 @@ class RngStream:
         return band
 
 
-def interface_angle(gx, gy):
-    """Angle of the gradient vector over the full circle, np.arctan2(gy, gx):
-    0 for a zero gradient, but +-pi when its x component is -0.0, which no
-    state from solver.initialize or solver.step holds."""
-    return np.arctan2(gy, gx)
-
-
-def epsilon_of_theta(theta, p):
+def epsilon_of_theta(gx, gy, p):
     """Anisotropic coefficient eps(theta) = eps_bar (1 + delta cos u) and its
-    derivative d(eps)/d(theta), where u = j_mode (theta - theta0)."""
-    u = p.j_mode * (np.asarray(theta, dtype=np.float64) - p.theta0)
+    derivative d(eps)/d(theta) at theta, the angle of the gradient (gx, gy),
+    where u = j_mode (theta - theta0).  theta is np.arctan2(gy, gx): 0 for a
+    zero gradient, but +-pi when its x component is -0.0, which no state
+    from solver.initialize or solver.step holds."""
+    u = p.j_mode * (np.arctan2(gy, gx) - p.theta0)
     eps = p.eps_bar * (1.0 + p.delta * np.cos(u))
     eps_prime = -p.eps_bar * p.j_mode * p.delta * np.sin(u)
     return eps, eps_prime

@@ -33,7 +33,6 @@ from . import diagnostics
 from .physics import (
     RngStream,
     epsilon_of_theta,
-    interface_angle,
     m_of_temperature,
     noise_term,
     reaction_term,
@@ -247,7 +246,7 @@ class PassOne(typing.NamedTuple):
 
 def stencil_pass(state: SimState, p: SimParams) -> PassOne:
     """Pass 1 of step on `state`: the window, its pair halo, grad phi, and
-    eps and eps' of the interface angle, in that order.  The pair Laplacian,
+    eps and eps' of grad phi, in that order.  The pair Laplacian,
     which measure does not read, is left to step, which takes it from the
     halo's `ring`.  run computes it once for each state it samples and hands
     it to diagnostics.measure, and then to step when the state is stepped
@@ -259,7 +258,7 @@ def stencil_pass(state: SimState, p: SimParams) -> PassOne:
     f = h.reshape(2, -1)
     ring = f[:, inset(pitch)]  # the window and one ring
     gx, gy = gradient_arrays(f[0], pitch, dx, mode)
-    eps, eps_prime = epsilon_of_theta(interface_angle(gx, gy), p)
+    eps, eps_prime = epsilon_of_theta(gx, gy, p)
     return PassOne(window, pitch, ring, gx, gy, eps, eps_prime)
 
 
@@ -280,7 +279,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     rings of their periodic neighbours (lattice.halo): a (2, R, C) buffer, C
     the window's columns + 2 REACH.  Every stencil reads contiguous slices of
     the buffer's flat view, in valid mode, so its result is its input less
-    one ring (see lattice).  grad(phi), the angle, eps, eps' and the flux
+    one ring (see lattice).  grad(phi), eps and eps' of it and the flux
     product eps*eps'*grad(phi) cover the window plus one ring; the
     Laplacians of phi and T (one call on the pair), grad(eps^2) and the flux
     differences cover the window.  These arrays keep the rows at pitch C, so
@@ -347,7 +346,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
         side = 2 * REACH + 1
         block = halo((state.phi.data,), np.s_[-1:, -1:], REACH).reshape(-1)
         bx, by = gradient_arrays(block, side, dx, mode)
-        eps_b, _ = epsilon_of_theta(interface_angle(bx, by), p)
+        eps_b, _ = epsilon_of_theta(bx, by, p)
         ge2x, ge2y = (g[0] for g in gradient_arrays(eps_b * eps_b, side, dx, mode))
     else:
         ge2x, ge2y = gradient_arrays(eps2, pitch, dx, mode)

@@ -107,8 +107,12 @@ def test_acceptance_03_term_consistency(acceptance):
     p = SimParams(delta=0.03)
     thetas = np.linspace(-math.pi, math.pi, 1000)
     h = 1e-7
-    _, eps_prime = epsilon_of_theta(thetas, p)
-    fd = (epsilon_of_theta(thetas + h, p)[0] - epsilon_of_theta(thetas - h, p)[0]) / (2 * h)
+
+    def eps_at(theta):  # eps and eps' of the unit gradient at angle theta
+        return epsilon_of_theta(np.cos(theta), np.sin(theta), p)
+
+    _, eps_prime = eps_at(thetas)
+    fd = (eps_at(thetas + h)[0] - eps_at(thetas - h)[0]) / (2 * h)
     eps_err = float(np.max(np.abs(eps_prime - fd)))
 
     ok = reaction_err < 1e-8 and eps_err < 1e-7

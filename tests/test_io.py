@@ -291,28 +291,33 @@ class TestSnapshot:
             read_snapshot(path)
 
     @pytest.mark.parametrize(
-        "changed, payload_cells",
+        "changed, payload_cells, message",
         [
-            ({"nx": b"abc"}, 16),
-            ({"nx": b"2"}, 8),
-            ({"nx": b"-4", "ny": b"-4"}, 16),
-            ({"dx": b"0"}, 16),
-            ({"step": b"x"}, 16),
-            ({"field": b"ph\xefi"}, 16),
-            ({"dx": b"nan"}, 16),
-            ({"dx": b"inf"}, 16),
+            ({"nx": b"abc"}, 16, "malformed"),
+            ({"nx": b"2"}, 8, "invalid"),
+            ({"nx": b"-4", "ny": b"-4"}, 16, "malformed"),
+            ({"dx": b"0"}, 16, "invalid"),
+            ({"step": b"x"}, 16, "malformed"),
+            ({"field": b"ph\xefi"}, 16, "not ASCII"),
+            ({"dx": b"nan"}, 16, "invalid"),
+            ({"dx": b"inf"}, 16, "invalid"),
+            ({"nx": b"3_0"}, 120, "malformed"),
+            ({"nx": b"+3"}, 12, "malformed"),
+            ({"nx": b"-1", "ny": b"9"}, 9, "malformed"),
+            ({"nx": b"-3", "ny": b"-3"}, 9, "malformed"),
         ],
         ids=["nx-not-int", "nx-too-small", "negative-extents", "zero-dx", "step-not-int",
-             "non-ascii", "nan-dx", "inf-dx"],
+             "non-ascii", "nan-dx", "inf-dx", "nx-underscore", "nx-plus-sign",
+             "one-negative-extent", "negative-odd-extents"],
     )
-    def test_malformed_header_value_rejected(self, tmp_path, changed, payload_cells):
+    def test_malformed_header_value_rejected(self, tmp_path, changed, payload_cells, message):
         header = {b"nx": b"4", b"ny": b"4", b"dx": b"0.03", b"dt": b"0.0001",
                   b"step": b"0", b"field": b"phi"}
         header.update((k.encode(), v) for k, v in changed.items())
         path = tmp_path / "f.pfds"
         path.write_bytes(SNAPSHOT_MAGIC + b"".join(k + b" " + v + b"\n" for k, v in header.items())
                          + b"\n" + b"\x00" * (8 * payload_cells))
-        with pytest.raises(SnapshotFormatError):
+        with pytest.raises(SnapshotFormatError, match=message):
             read_snapshot(path)
 
     @given(st.one_of(st.binary(max_size=200), snapshot_bodies()))

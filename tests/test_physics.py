@@ -12,7 +12,6 @@ from dendrosim.physics import (
     RngStream,
     double_well,
     epsilon_of_theta,
-    interface_angle,
     m_of_temperature,
     noise_term,
     reaction_term,
@@ -59,70 +58,99 @@ class TestModelParams:
         assert SimParams(eps_bar=0.0).eps_bar == 0.0
 
 
-class TestInterfaceAngle:
+def unit(theta):
+    """The unit gradient (cos theta, sin theta), whose angle is theta."""
+    return np.cos(theta), np.sin(theta)
+
+
+class TestGradientAngle:
+    """epsilon_of_theta reads the angle of the gradient it is given: an odd
+    j_mode gives eps(pi) != eps(0), so each angle below is told apart."""
+
+    P = SimParams(j_mode=3, delta=0.05, theta0=0.0)
+
+    def assert_angle(self, gx, gy, theta):
+        eps, eps_prime = epsilon_of_theta(gx, gy, self.P)
+        assert (eps, eps_prime) == R.roll_epsilon(theta, self.P)
+
     def test_cardinal_directions(self):
-        assert interface_angle(1.0, 0.0) == 0.0
-        assert interface_angle(0.0, 1.0) == pytest.approx(math.pi / 2, abs=0)
-        assert interface_angle(-1.0, 0.0) == pytest.approx(math.pi, abs=0)
+        self.assert_angle(1.0, 0.0, 0.0)
+        self.assert_angle(0.0, 1.0, math.pi / 2)
+        self.assert_angle(-1.0, 0.0, math.pi)
 
     def test_third_quadrant_matches_branch_arithmetic(self):
         # gradient (-1, -1) lies at 225 degrees
-        theta = interface_angle(-1.0, -1.0)
-        assert theta % TWO_PI == pytest.approx(5.0 * math.pi / 4.0, rel=1e-15)
+        eps, eps_prime = epsilon_of_theta(-1.0, -1.0, self.P)
+        want = R.roll_epsilon(5.0 * math.pi / 4.0, self.P)
+        assert eps == pytest.approx(want[0], rel=1e-15)
+        assert eps_prime == pytest.approx(want[1], rel=1e-15)
 
     def test_zero_gradient_maps_to_zero(self):
-        assert interface_angle(0.0, 0.0) == 0.0
+        self.assert_angle(0.0, 0.0, 0.0)
 
     def test_negative_zero_x_component_maps_to_plus_or_minus_pi(self):
-        assert interface_angle(0.0, -0.0) == 0.0
-        assert interface_angle(-0.0, 0.0) == math.pi
-        assert interface_angle(-0.0, -0.0) == -math.pi
-        assert interface_angle(-0.0, 1.0) == pytest.approx(math.pi / 2, abs=0)
+        self.assert_angle(0.0, -0.0, 0.0)
+        self.assert_angle(-0.0, 0.0, math.pi)
+        self.assert_angle(-0.0, -0.0, -math.pi)
+        self.assert_angle(-0.0, 1.0, math.pi / 2)
+        # so these tell 0, +pi and -pi apart: eps(pi) != eps(0), and eps' at
+        # +pi and -pi differ in their last bits
+        at = {theta: R.roll_epsilon(theta, self.P) for theta in (0.0, math.pi, -math.pi)}
+        assert at[math.pi][0] != at[0.0][0] and at[math.pi][1] != at[-math.pi][1]
 
     def test_equivalent_to_branchy_form_mod_two_pi(self):
+        # the angles agree within 1e-12, so eps and eps' do within 1e-12
+        # times their slopes in theta, eps_bar delta j and eps_bar delta j^2
+        p = self.P
+        slope = p.eps_bar * p.delta * p.j_mode
         rng = np.random.default_rng(23)
         cases = [(float(gx), float(gy)) for gx, gy in rng.normal(size=(200, 2))]
         cases += [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0),
                   (2.5, 0.0), (-2.5, 0.0), (0.0, 0.25)]
         for gx, gy in cases:
-            diff = (interface_angle(gx, gy) - R.branchy_angle(gx, gy)) % TWO_PI
-            assert min(diff, TWO_PI - diff) < 1e-12, (gx, gy)
+            eps, eps_prime = epsilon_of_theta(gx, gy, p)
+            want = R.roll_epsilon(R.branchy_angle(gx, gy), p)
+            assert abs(eps - want[0]) < slope * 1e-12, (gx, gy)
+            assert abs(eps_prime - want[1]) < slope * p.j_mode * 1e-12, (gx, gy)
 
-    def test_scale_invariance_through_anisotropy(self):
+    def test_scale_invariance(self):
         p = SimParams()
         for gx, gy in [(0.3, -0.7), (-1.0, 2.0), (5.0, 5.0)]:
             for scale in (1e-6, 1.0, 1e6):
-                a = epsilon_of_theta(interface_angle(gx, gy), p)
-                b = epsilon_of_theta(interface_angle(scale * gx, scale * gy), p)
+                a = epsilon_of_theta(gx, gy, p)
+                b = epsilon_of_theta(scale * gx, scale * gy, p)
                 assert a[0] == pytest.approx(b[0], rel=1e-13)
                 assert a[1] == pytest.approx(b[1], rel=1e-13, abs=1e-18)
 
 
 class TestEpsilonOfTheta:
+    """eps and eps' of unit gradients (cos theta, sin theta)."""
+
     def test_preferred_direction_extremum(self):
-        p = SimParams(eps_bar=0.02, delta=0.05, j_mode=6, theta0=0.4)
-        eps, eps_prime = epsilon_of_theta(0.4, p)
+        gx, gy = unit(0.4)
+        p = SimParams(eps_bar=0.02, delta=0.05, j_mode=6, theta0=float(np.arctan2(gy, gx)))
+        eps, eps_prime = epsilon_of_theta(gx, gy, p)
         assert eps == pytest.approx(0.02 * 1.05, rel=1e-15)
         assert eps_prime == 0.0
 
     def test_isotropic_limit(self):
         p = SimParams(delta=0.0)
         for theta in np.linspace(-7.0, 7.0, 17):
-            eps, eps_prime = epsilon_of_theta(theta, p)
+            eps, eps_prime = epsilon_of_theta(*unit(theta), p)
             assert eps == p.eps_bar
             assert eps_prime == 0.0
 
     def test_quarter_turn_off_axis_example(self):
         p = SimParams(eps_bar=0.01, delta=0.02, j_mode=4, theta0=0.0)
-        eps, eps_prime = epsilon_of_theta(math.pi / 4.0, p)
+        eps, eps_prime = epsilon_of_theta(*unit(math.pi / 4.0), p)
         assert eps == pytest.approx(0.0098, rel=1e-14)
         assert eps_prime == pytest.approx(0.0, abs=1e-18)
 
     def test_periodicity_in_mode_angle(self):
         p = SimParams(j_mode=6, delta=0.04)
         for theta in np.linspace(0.0, TWO_PI, 50):
-            a = epsilon_of_theta(theta, p)
-            b = epsilon_of_theta(theta + TWO_PI / p.j_mode, p)
+            a = epsilon_of_theta(*unit(theta), p)
+            b = epsilon_of_theta(*unit(theta + TWO_PI / p.j_mode), p)
             assert abs(a[0] - b[0]) < 1e-14
             assert abs(a[1] - b[1]) < 1e-14
 
@@ -130,25 +158,26 @@ class TestEpsilonOfTheta:
         p = SimParams(delta=0.03, j_mode=4)
         h = 1e-7
         thetas = np.linspace(-math.pi, math.pi, 1000)
-        _, eps_prime = epsilon_of_theta(thetas, p)
-        fd = (epsilon_of_theta(thetas + h, p)[0] - epsilon_of_theta(thetas - h, p)[0]) / (2 * h)
+        _, eps_prime = epsilon_of_theta(*unit(thetas), p)
+        fd = (epsilon_of_theta(*unit(thetas + h), p)[0]
+              - epsilon_of_theta(*unit(thetas - h), p)[0]) / (2 * h)
         assert np.max(np.abs(eps_prime - fd)) < 1e-7
 
     def test_vectorized_matches_scalar(self):
         p = SimParams()
-        thetas = np.linspace(-1.0, 1.0, 7)
-        eps, eps_prime = epsilon_of_theta(thetas, p)
-        for k, th in enumerate(thetas):
-            e, ep = epsilon_of_theta(float(th), p)
+        gx, gy = unit(np.linspace(-1.0, 1.0, 7))
+        eps, eps_prime = epsilon_of_theta(gx, gy, p)
+        for k in range(gx.size):
+            e, ep = epsilon_of_theta(float(gx[k]), float(gy[k]), p)
             assert eps[k] == e and eps_prime[k] == ep
 
-    @pytest.mark.parametrize("j_mode", [4, 6])
-    def test_eps_alone_is_the_first_of_the_pair_bitwise(self, j_mode):
+    @pytest.mark.parametrize("j_mode", [3, 4, 6])
+    def test_matches_the_angle_form_bitwise(self, j_mode):
         p = SimParams(j_mode=j_mode, delta=0.04, theta0=0.3)
-        thetas = np.random.default_rng(8).uniform(-math.pi, math.pi, 500)
-        eps, eps_prime = R.roll_epsilon(thetas, p)
-        assert eps.tobytes() == epsilon_of_theta(thetas, p)[0].tobytes()
-        assert eps_prime.tobytes() == epsilon_of_theta(thetas, p)[1].tobytes()
+        gx, gy = np.random.default_rng(8).normal(size=(2, 500))
+        eps, eps_prime = R.roll_epsilon(np.arctan2(gy, gx), p)
+        assert eps.tobytes() == epsilon_of_theta(gx, gy, p)[0].tobytes()
+        assert eps_prime.tobytes() == epsilon_of_theta(gx, gy, p)[1].tobytes()
 
 
 class TestDrivingForce:

@@ -695,6 +695,34 @@ class TestManufacturedPhaseOperator:
             assert abs(b[3] - 1.0) > 50 * tol_b
 
 
+class TestTimeStepConvergence:
+    """The whole coupled step, latent heat included, is a consistent
+    first-order integrator in time: 64x64 noise-free runs to t = 0.01 at
+    dt = 1e-4 / 2^k, k = 0..4, differ from the run at dt / 2 by a largest
+    (phi, T) difference that halves with each halving of dt."""
+
+    @staticmethod
+    def final_fields(dt, **kwargs):
+        p = SimParams(nx=64, ny=64, dt=dt, **kwargs)
+        st = initialize(p)
+        for _ in range(round(0.01 / dt)):
+            st = step(st, p)
+        return np.stack([st.phi.data, st.temp.data])
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(divisor_mode=PAPER_CODE),
+        dict(divisor_mode=CENTERED),
+        dict(divisor_mode=PAPER_CODE, replicate_appendix_bug=True),
+    ], ids=["paper_code", "centered", "paper_code-bug"])
+    def test_error_halves_with_dt(self, kwargs):
+        runs = [self.final_fields(1e-4 / 2**k, **kwargs) for k in range(5)]
+        diffs = np.array([np.max(np.abs(a - b)) for a, b in zip(runs, runs[1:])])
+        # measured 1.948, 1.975, 1.988 (paper_code), 1.986, 1.995, 1.998
+        # (centered) and 2.171, 2.072, 2.079 (with the appendix bug)
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((1.9 <= ratios) & (ratios <= 2.25)), ratios
+
+
 class TestNoGridScan:
     def test_small_window_step_and_sample_scan_only_the_window(self, monkeypatch):
         # 12 steps into a noisy 300x300 run: the step scans its window-sized
@@ -988,7 +1016,7 @@ class TestRunLifecycle:
         assert [s.step for s in snaps] == list(range(10))
 
     def test_states_hold_no_negative_zero(self):
-        # so a zero gradient always has the angle 0 (physics.interface_angle)
+        # so a zero gradient always has the angle 0 (physics.epsilon_of_theta)
         p = small_params(noise_amp=0.01, total_steps=40, snapshot_every=1)
         snaps = []
         run(p, on_snapshot=snaps.append)
