@@ -147,7 +147,7 @@ def read_snapshot(path) -> tuple[Field, dict]:
         if key not in header:
             raise SnapshotFormatError(f"snapshot header missing '{key}'")
     try:
-        for key in ("nx", "ny"):
+        for key in ("nx", "ny", "step"):
             # int() would also take a sign, spaces and "_" separators
             if not (header[key].isascii() and header[key].isdigit()):
                 raise ValueError(f"{key} must be decimal digits, got {header[key]!r}")

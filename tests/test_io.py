@@ -305,10 +305,14 @@ class TestSnapshot:
             ({"nx": b"+3"}, 12, "malformed"),
             ({"nx": b"-1", "ny": b"9"}, 9, "malformed"),
             ({"nx": b"-3", "ny": b"-3"}, 9, "malformed"),
+            ({"step": b"-5"}, 16, "malformed"),
+            ({"step": b"1_0"}, 16, "malformed"),
+            ({"step": b" +3"}, 16, "malformed"),
         ],
         ids=["nx-not-int", "nx-too-small", "negative-extents", "zero-dx", "step-not-int",
              "non-ascii", "nan-dx", "inf-dx", "nx-underscore", "nx-plus-sign",
-             "one-negative-extent", "negative-odd-extents"],
+             "one-negative-extent", "negative-odd-extents", "step-negative",
+             "step-underscore", "step-space-plus-sign"],
     )
     def test_malformed_header_value_rejected(self, tmp_path, changed, payload_cells, message):
         header = {b"nx": b"4", b"ny": b"4", b"dx": b"0.03", b"dt": b"0.0001",

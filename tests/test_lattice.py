@@ -1,12 +1,14 @@
 """Grid container and stencil operators: wrap, gradient, Laplacian, sums."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import reference as R
+from dendrosim import lattice
 from dendrosim.lattice import (
     CENTERED,
     PAPER_CODE,
@@ -21,6 +23,7 @@ from dendrosim.lattice import (
     nonzero_box,
     widen,
 )
+from dendrosim.solver import SimParams, run
 
 
 def wrapped(a):
@@ -493,8 +496,8 @@ class TestLatticeSum:
         f = Field(np.full((4, 4), 1e307), 1.0)
         assert lattice_sum(f) == 16 * 1e307
 
-    # fields whose float sum of the first pass's remainder cannot settle the
-    # rounded total, so lattice_sum goes on extracting; each against math.fsum
+    # fields whose float sum of the extraction's remainder cannot settle the
+    # rounded total, so lattice_sum falls to math.fsum of the cells
     @pytest.mark.parametrize("shape", ADVERSARIAL_SHAPES)
     @pytest.mark.parametrize("nudge", [0.0, math.ldexp(1.0, -200), -math.ldexp(1.0, -200)])
     def test_rounding_midpoint(self, shape, nudge):
@@ -521,6 +524,24 @@ class TestLatticeSum:
         a = np.zeros(shape)
         a[shape[0] // 2, shape[1] // 3] = value
         assert lattice_sum(Field(a, 0.03)) == fsum_area(a) == value * 0.03 * 0.03
+
+    def test_every_sum_of_a_noisy_run_settles_in_the_certified_pass(self, monkeypatch):
+        # a noisy 128 x 128 run sampled at every step: math.fsum, as lattice
+        # sees it, only ever rounds the pass's two-term totals, and never
+        # receives the cells
+        calls = []
+
+        def recording(values):
+            calls.append(isinstance(values, np.ndarray))
+            return math.fsum(values)
+
+        seen = types.SimpleNamespace(**{**vars(math), "fsum": recording})
+        monkeypatch.setattr(lattice, "math", seen)
+        p = SimParams(nx=128, ny=128, total_steps=100, noise_amp=0.01, rng_seed=3,
+                      diagnostics_every=1, snapshot_every=100)
+        _, records = run(p)
+        assert len(records) == 101
+        assert calls and not any(calls)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_cell_count_one_below_a_power_of_two(self, k):

@@ -634,6 +634,37 @@ class TestPlanarFront:
         assert abs(richardson - c) > 10.0 * correction
 
 
+def phase_operator(n, mode, phi_of, **kwargs):
+    """The phase operator step applies to phi = phi_of(X, Y) on an n x n grid
+    of side 3 centred on 0: one step of 1e-9 at T = t_eq (so m = 0) with no
+    latent heat or noise, where (phi' - phi) tau / dt less the reaction is
+    the operator.  Returns (p, X, Y, operator)."""
+    dx = 3.0 / n
+    p = SimParams(nx=n, ny=n, dx=dx, dt=1e-9, delta=0.05, theta0=0.3, latent_heat=0.0,
+                  seed_radius_sq=0.0, divisor_mode=mode, **kwargs)
+    x = (np.arange(n) + 0.5) * dx - 1.5
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    phi = phi_of(X, Y)
+    st = SimState(phi=Field(phi, dx), temp=Field(np.full((n, n), p.t_eq), dx))
+    op = (step(st, p).phi.data - phi) * (p.tau / p.dt) - reaction_term(phi, 0.0)
+    return p, X, Y, op
+
+
+def front(s, R, w):
+    """The profile g(s) = (1 - tanh((s - R) / w)) / 2 and its first two
+    derivatives."""
+    t = np.tanh((s - R) / w)
+    return 0.5 * (1.0 - t), -(1.0 - t * t) / (2.0 * w), (1.0 - t * t) * t / (w * w)
+
+
+def eps_and_derivatives(theta, p):
+    """eps, eps' and eps'' of the continuum anisotropy at the angle theta."""
+    u = p.j_mode * (theta - p.theta0)
+    return (p.eps_bar * (1.0 + p.delta * np.cos(u)),
+            -p.eps_bar * p.delta * p.j_mode * np.sin(u),
+            -p.eps_bar * p.delta * p.j_mode ** 2 * np.cos(u))
+
+
 class TestManufacturedPhaseOperator:
     """The PDE the stencil solves, on the anisotropic phase operator: for a
     radial profile phi = g(r) = (1 - tanh((r - R) / w)) / 2, the operator
@@ -646,29 +677,17 @@ class TestManufacturedPhaseOperator:
 
     @staticmethod
     def fit(n, mode, limit_b):
-        # one step of 1e-9 at T = t_eq (so m = 0) with no latent heat or
-        # noise: (phi' - phi) tau / dt less the reaction is the operator;
-        # (a, b) is its least-squares fit on the band |r - R| < 1.5 w, and
-        # err its largest distance from the limit, over the largest |L|
-        R, w, dx = 0.8, 0.06, 3.0 / n
-        p = SimParams(nx=n, ny=n, dx=dx, dt=1e-9, delta=0.05, theta0=0.3, latent_heat=0.0,
-                      seed_radius_sq=0.0, divisor_mode=mode)
-        x = (np.arange(n) + 0.5) * dx - 1.5
-        X, Y = np.meshgrid(x, x, indexing="ij")
+        # (a, b) is the least-squares fit of the operator on the band
+        # |r - R| < 1.5 w, and err its largest distance from the limit, over
+        # the largest |L|
+        R, w = 0.8, 0.06
+        p, X, Y, op = phase_operator(n, mode, lambda X, Y: front(np.hypot(X, Y), R, w)[0])
         r = np.hypot(X, Y)
-        phi = 0.5 * (1.0 - np.tanh((r - R) / w))
-        st = SimState(phi=Field(phi, dx), temp=Field(np.full((n, n), p.t_eq), dx))
-        op = (step(st, p).phi.data - phi) * (p.tau / p.dt) - reaction_term(phi, 0.0)
         band = np.abs(r - R) < 1.5 * w
         r, op = r[band], op[band]
-        t = np.tanh((r - R) / w)
-        g1 = -(1.0 - t * t) / (2.0 * w)
-        g2 = (1.0 - t * t) * t / (w * w)
+        _, g1, g2 = front(r, R, w)
         # theta, the angle of grad(phi), points inward: the polar angle + pi
-        u = p.j_mode * (np.arctan2(Y[band], X[band]) + np.pi - p.theta0)
-        eps = p.eps_bar * (1.0 + p.delta * np.cos(u))
-        eps1 = -p.eps_bar * p.delta * p.j_mode * np.sin(u)
-        eps2 = -p.eps_bar * p.delta * p.j_mode ** 2 * np.cos(u)
+        eps, eps1, eps2 = eps_and_derivatives(np.arctan2(Y[band], X[band]) + np.pi, p)
         L = eps * eps * (g2 + g1 / r)
         F = (eps1 * eps1 + eps * eps2) * g1 / r
         (a, b), *_ = np.linalg.lstsq(np.stack([L, F], axis=1), op, rcond=None)
@@ -693,6 +712,78 @@ class TestManufacturedPhaseOperator:
         assert abs(a[3] - 1.0) > 50 * tol_a
         if mode == PAPER_CODE:
             assert abs(b[3] - 1.0) > 50 * tol_b
+
+
+class TestManufacturedEllipseOperator:
+    """The non-radial part of the phase operator: for an elliptical profile
+    phi = g(rho), g as in TestManufacturedPhaseOperator and
+    rho = sqrt((x / alpha)^2 + y^2), grad(eps^2) is no longer tangential.
+    With theta the angle of grad(phi), so that grad(theta) =
+    (phi_x grad(phi_y) - phi_y grad(phi_x)) / |grad(phi)|^2, the continuum
+    operator is a L + b F + c G with L = eps^2 lap(phi),
+    F = (eps'^2 + eps eps'') (theta_y phi_x - theta_x phi_y) and
+    G = 2 eps eps' (theta_x phi_x + theta_y phi_y) = grad(eps^2) . grad(phi),
+    and a = b = c = 1.  term3 is the product of two gradients, each doubled
+    under paper_code, so c = 4 there and 1 under centered."""
+
+    @staticmethod
+    def fit(n, mode, limits, **kwargs):
+        # (a, b, c) is the least-squares fit of the operator on the band
+        # |rho - R| < 1.5 w, and err its largest distance from the limit,
+        # over the largest |L|
+        R, w, alpha = 0.5, 0.06, 2.0
+        p, X, Y, op = phase_operator(
+            n, mode, lambda X, Y: front(np.hypot(X / alpha, Y), R, w)[0], **kwargs)
+        rho = np.hypot(X / alpha, Y)
+        band = np.abs(rho - R) < 1.5 * w
+        x, y, rho, op = X[band], Y[band], rho[band], op[band]
+        _, g1, g2 = front(rho, R, w)
+        a2, rho3 = alpha * alpha, rho ** 3
+        rx, ry = x / (a2 * rho), y / rho
+        px, py = g1 * rx, g1 * ry
+        pxx = g2 * rx * rx + g1 * y * y / (a2 * rho3)
+        pyy = g2 * ry * ry + g1 * x * x / (a2 * rho3)
+        pxy = g2 * rx * ry - g1 * x * y / (a2 * rho3)
+        grad2 = px * px + py * py
+        tx, ty = (px * pxy - py * pxx) / grad2, (px * pyy - py * pxy) / grad2
+        eps, eps1, eps2 = eps_and_derivatives(np.arctan2(py, px), p)
+        L = eps * eps * (pxx + pyy)
+        F = (eps1 * eps1 + eps * eps2) * (ty * px - tx * py)
+        G = 2.0 * eps * eps1 * (tx * px + ty * py)
+        terms = np.stack([L, F, G], axis=1)
+        weights, *_ = np.linalg.lstsq(terms, op, rcond=None)
+        err = np.max(np.abs(op - terms @ np.array(limits))) / np.max(np.abs(L))
+        return weights, float(err)
+
+    @pytest.mark.parametrize("mode, limit_c", [(PAPER_CODE, 4.0), (CENTERED, 1.0)])
+    def test_term3_weight_converges_to_the_gradient_factor(self, mode, limit_c):
+        limits = np.array([4.0 / 3.0, limit_c, limit_c])
+        fits = [self.fit(n, mode, limits) for n in (100, 200, 400, 800)]
+        weights = np.array([f[0] for f in fits])
+        err = np.array([f[1] for f in fits])
+        # second order: each halving of dx cuts the distance of a, b, c and
+        # of the operator from their limits by 4 (measured 3.57 to 3.99 in
+        # both modes; first order would give 2) ...
+        for dist in (*np.abs(weights - limits).T, err):
+            ratios = dist[:-1] / dist[1:]
+            assert np.all((3.3 < ratios) & (ratios < 4.5)), ratios
+        # ... so the finest c is within its last change of the limit (n = 800
+        # reads c = 3.9984 and 0.9998), while the continuum weight 1 is far
+        # from c under paper_code
+        c, tol_c = weights[3, 2], abs(weights[3, 2] - weights[2, 2])
+        assert abs(c - limit_c) < tol_c
+        if mode == PAPER_CODE:
+            assert abs(c - 1.0) > 50 * tol_c
+
+    @pytest.mark.parametrize("mode, limit_c", [(PAPER_CODE, 4.0), (CENTERED, 1.0)])
+    def test_appendix_bug_changes_term3(self, mode, limit_c):
+        # the stale eps^2 gradient of the grid's last cell takes the place of
+        # term3: at n = 200 its fitted c lies 164 (paper_code) and 386
+        # (centered) times further from the limit than the mode's own
+        limits = [4.0 / 3.0, limit_c, limit_c]
+        c = self.fit(200, mode, limits)[0][2]
+        c_bug = self.fit(200, mode, limits, replicate_appendix_bug=True)[0][2]
+        assert abs(c_bug - limit_c) > 50 * abs(c - limit_c)
 
 
 class TestTimeStepConvergence:
