@@ -13,7 +13,6 @@ from .diagnostics import (
     DiagnosticsRecord,
     arm_count,
     conservation_sum,
-    free_energy,
     measure,
     solid_fraction,
     tip_extent,
@@ -74,7 +73,6 @@ __all__ = [
     "double_well",
     "epsilon_of_theta",
     "format_config",
-    "free_energy",
     "initialize",
     "lattice_sum",
     "m_of_temperature",

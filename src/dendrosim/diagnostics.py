@@ -10,9 +10,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import (CENTERED, PAPER_CODE, Field, cell_view, gradient_arrays, halo, inset,
-                      lattice_sum, widen)
-from .physics import double_well, epsilon_of_theta, m_of_temperature
+from . import solver
+from .lattice import PAPER_CODE, Field, cell_view, inset, lattice_sum
+from .physics import double_well, m_of_temperature
 
 SOLID_THRESHOLD = 0.5
 # arm_count: the least swing of the sector radius profile, in grid cells, that
@@ -137,77 +137,51 @@ def conservation_sum(state, latent_heat: float) -> float:
     return lattice_sum(state.temp) - latent_heat * lattice_sum(state.phi)
 
 
-def free_energy(phi: Field, m_field: Field, p) -> float:
-    """Discrete free energy: sum of the well density plus (eps^2/2)|grad phi|^2,
-    with eps from the model fields of p (a SimParams).
+def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
+    """All per-sample scalars for one state of a run with SimParams p.
 
-    The gradients are periodic and centered-mode whatever the solver's
-    divisor mode, so the diagnostic is comparable across configurations.
+    The free energy sums the well density plus (eps^2/2)|grad phi|^2, with
+    grad phi centred whatever the divisor mode, so it is comparable across
+    configurations.  eps and grad phi are read on the window from
+    `stencils`, the state's solver.stencil_pass: run computes it for every
+    state it samples, and measure when it is not given, so a state that
+    does not fit p is a ValueError, as in step.  Under paper_code that
+    gradient is twice the centred one; halving it is exact (a subnormal
+    component squares to 0 either way), as is the doubling of both
+    arguments of arctan2.
+
+    The m field and the sums of conservation_sum and the free energy are
+    taken on that window, the state's box widened by lattice.REACH
+    (lattice.widen), and give the bits of the whole-grid sums: every cell
+    outside the window, and every wrapped neighbour of a cell in it, is
+    +-0.0 with zero gradients, so each cell's density is that of the grid,
+    and lattice_sum is correctly rounded, so the sum over the window equals
+    the sum over the grid.  The exception is a cell within lattice_sum's
+    overflow margin, which depends on the cell count: there both sums fall
+    back to numpy's and may differ.
     """
-    nx, ny = m_field.nx, m_field.ny
-    if (phi.nx, phi.ny) != (nx, ny):
-        raise ValueError("phi and m fields must have identical extents")
-    pitch = ny + 2
-    ring = halo((phi.data,), np.s_[:, :], 1).reshape(-1)
-    return _energy_sum(phi, m_field, gradient_arrays(ring, pitch, phi.dx, CENTERED), pitch, p)
-
-
-def _energy_sum(phi: Field, m_field: Field, grad, pitch: int, p, eps=None) -> float:
-    """free_energy's sum on the cells of phi, from grad = (gx, gy), the
-    centred gradient of phi laid out at `pitch` from cell (0, 0), and eps at
-    the same positions, which is computed from grad when not given: the
-    first of epsilon_of_theta's pair, whose eps' is dropped as it is made."""
-    gx, gy = grad
-    del grad  # free_energy names no tuple, so its arrays go with gx and gy
-    if eps is None:
-        eps = epsilon_of_theta(gx, gy, p)[0]
+    if stencils is None:
+        stencils = solver.stencil_pass(state, p)
+    window, pitch = stencils.window, stencils.pitch
+    inner = inset(pitch)
+    gx, gy, eps = stencils.gx[inner], stencils.gy[inner], stencils.eps[inner]
+    # a pass 1 made here is freed, but for these three, before the density
+    del stencils
+    if p.divisor_mode == PAPER_CODE:
+        gx, gy = 0.5 * gx, 0.5 * gy
+    phi, temp = state.phi, state.temp
+    cut = replace(state, phi=Field(phi.data[window], phi.dx),
+                  temp=Field(temp.data[window], temp.dx))
     # 0.5 eps eps (gx gx + gy gy) in place, in that order; gx, gy and eps
-    # may be views of a pass 1, so they are only read
+    # may be views of run's pass 1, so they are only read
     bend = eps * 0.5
     bend *= eps
     g2 = gx * gx
     g2 += gy * gy
     bend *= g2
     del gx, gy, eps, g2
-    density = double_well(phi.data, m_field.data)
-    density += cell_view(bend, pitch, phi.ny)
-    return lattice_sum(Field(density, phi.dx))
-
-
-def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
-    """All per-sample scalars for one state of a run with SimParams p.
-
-    The m field and the sums of conservation_sum and free_energy are taken
-    on the state's box widened by lattice.REACH (lattice.widen), and give
-    the bits of the whole-grid calls: every cell outside the window, and
-    every wrapped neighbour of a cell in it, is +-0.0 with zero gradients,
-    so each cell's density is that of the grid, and lattice_sum is
-    correctly rounded, so the sum over the window equals the sum over the
-    grid.  The exception is a cell within lattice_sum's overflow margin,
-    which depends on the cell count: there both sums fall back to numpy's
-    and may differ.
-
-    `stencils` is the state's solver.stencil_pass, which run computes for
-    every state it samples, so every record of a run is made from one.  The
-    free energy then takes eps and grad phi on the window from it, not from
-    a halo and stencils of its own, as free_energy does for a call without
-    it; under paper_code that gradient is twice the centred one, and
-    halving it is exact (a subnormal component squares to 0 either way), as
-    is the doubling of both arguments of arctan2.  The record is the same.
-    """
-    phi, temp = state.phi, state.temp
-    window = widen(state.box, phi.data.shape)
-    cut = replace(state, phi=Field(phi.data[window], phi.dx),
-                  temp=Field(temp.data[window], temp.dx))
-    m_field = Field(m_of_temperature(cut.temp.data, p), temp.dx)
-    if stencils is None:
-        energy = free_energy(cut.phi, m_field, p)
-    else:
-        inner = inset(stencils.pitch)
-        grad = (stencils.gx[inner], stencils.gy[inner])
-        if p.divisor_mode == PAPER_CODE:
-            grad = tuple(0.5 * g for g in grad)
-        energy = _energy_sum(cut.phi, m_field, grad, stencils.pitch, p, stencils.eps[inner])
+    density = double_well(cut.phi.data, m_of_temperature(cut.temp.data, p))
+    density += cell_view(bend, pitch, cut.phi.ny)
     return DiagnosticsRecord(
         step=state.step,
         time=state.step * p.dt,
@@ -217,6 +191,6 @@ def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
         tip_py=tip_extent(phi, "+y"),
         tip_my=tip_extent(phi, "-y"),
         conservation_sum=conservation_sum(cut, p.latent_heat),
-        free_energy=energy,
+        free_energy=lattice_sum(Field(density, phi.dx)),
         arm_count=arm_count(phi),
     )

@@ -67,13 +67,15 @@ def divisors(dx: float, mode: str) -> float:
     raise ValueError(f"unknown divisor_mode {mode!r}, expected one of {DIVISOR_MODES}")
 
 
-def halo(planes, window: tuple[slice, slice], k: int) -> np.ndarray:
-    """Copy of `window` of each of `planes` (equal-shape 2-D arrays) with `k`
-    rings of its periodic grid neighbours, as one array of shape
+def halo(planes, window: tuple[slice, slice]) -> np.ndarray:
+    """Copy of `window` of each of `planes` (equal-shape 2-D arrays) with
+    k = REACH rings of its periodic grid neighbours, as one array of shape
     (len(planes), window rows + 2k, window columns + 2k): along an axis of n
     cells and window lo:hi, the copy holds cells lo - k ... hi + k - 1 mod n.
     It is built from slice copies, one per run of cells that does not wrap
     (cheaper than np.pad, and far cheaper than fancy indexing)."""
+    k = REACH
+
     def runs(s, n):
         # (first cell, past its last, offset in the copy) of each run
         lo, hi, _ = s.indices(n)

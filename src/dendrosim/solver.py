@@ -250,10 +250,18 @@ def stencil_pass(state: SimState, p: SimParams) -> PassOne:
     which measure does not read, is left to step, which takes it from the
     halo's `ring`.  run computes it once for each state it samples and hands
     it to diagnostics.measure, and then to step when the state is stepped
-    next."""
+    next.  A state field of another spacing than p.dx, or of another shape
+    than p.nx x p.ny, is a ValueError, raised before the box is scanned."""
+    for name, f in (("phi", state.phi), ("temp", state.temp)):
+        if f.data.shape != (p.nx, p.ny):
+            raise ValueError(
+                f"state {name} has shape {f.nx}x{f.ny}, but the params have {p.nx}x{p.ny}"
+            )
+        if f.dx != p.dx:
+            raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     dx, mode = p.dx, p.divisor_mode
     window = widen(state.box, state.phi.data.shape)
-    h = halo((state.phi.data, state.temp.data), window, REACH)
+    h = halo((state.phi.data, state.temp.data), window)
     pitch = h.shape[2]
     f = h.reshape(2, -1)
     ring = f[:, inset(pitch)]  # the window and one ring
@@ -266,7 +274,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
          stencils: PassOne | None = None) -> SimState:
     """Advance one step on cells of side p.dx, the spacing the stability
     check in SimParams passed; a state field of another spacing, or of
-    another shape than p.nx x p.ny, is a ValueError.
+    another shape than p.nx x p.ny, is a ValueError (see stencil_pass).
 
     Only the window around the nonzero cells of phi and T is updated: the
     state's box widened by lattice.REACH (see there for why that gives the
@@ -315,13 +323,6 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     scalars left over from the grid's last raster cell, reproducing the
     circulated reference code's stale-variable behavior.
     """
-    for name, f in (("phi", state.phi), ("temp", state.temp)):
-        if f.data.shape != (p.nx, p.ny):
-            raise ValueError(
-                f"state {name} has shape {f.nx}x{f.ny}, but the params have {p.nx}x{p.ny}"
-            )
-        if f.dx != p.dx:
-            raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     dx, mode = p.dx, p.divisor_mode
     shape = state.phi.data.shape
     if stencils is None:
@@ -344,7 +345,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
         # stale scalars from the grid's last cell, whatever the window: its
         # eps^2 gradient reads phi at most REACH cells away, in its halo
         side = 2 * REACH + 1
-        block = halo((state.phi.data,), np.s_[-1:, -1:], REACH).reshape(-1)
+        block = halo((state.phi.data,), np.s_[-1:, -1:]).reshape(-1)
         bx, by = gradient_arrays(block, side, dx, mode)
         eps_b, _ = epsilon_of_theta(bx, by, p)
         ge2x, ge2y = (g[0] for g in gradient_arrays(eps_b * eps_b, side, dx, mode))
@@ -408,7 +409,7 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
     state 0 is sampled before any step, so a run has at least one record.
     Every sampled state, the final one too, gets one stencil_pass, which
     diagnostics.measure reads and step, for a state stepped next, then
-    uses; the records are those of measure alone.
+    uses.
 
     Returns (final state, list of DiagnosticsRecord).
     """

@@ -14,13 +14,12 @@ import pytest
 
 import reference as R
 from dendrosim.cli import PRESETS, main
-from dendrosim.diagnostics import ARM_MIN_CELLS, arm_count, free_energy
+from dendrosim.diagnostics import ARM_MIN_CELLS, arm_count, measure
 from dendrosim.io import csv_row, params_from_dict
 from dendrosim.lattice import Field, lattice_sum
 from dendrosim.physics import (
     double_well,
     epsilon_of_theta,
-    m_of_temperature,
     reaction_term,
 )
 from dendrosim.solver import SimParams, SimState, initialize, run, stability_check, step
@@ -263,8 +262,7 @@ def test_acceptance_10_isotropic_energy_decay(acceptance):
     st = initialize(p)
 
     def energy(state):
-        m_field = Field(m_of_temperature(state.temp.data, p), state.temp.dx)
-        return free_energy(state.phi, m_field, p)
+        return measure(state, p).free_energy
 
     previous = energy(st)
     worst = -math.inf

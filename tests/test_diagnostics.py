@@ -14,7 +14,6 @@ from dendrosim.diagnostics import (
     _radius_profile,
     arm_count,
     conservation_sum,
-    free_energy,
     measure,
     solid_fraction,
     tip_extent,
@@ -256,40 +255,52 @@ class TestConservationSum:
 
 
 class TestFreeEnergy:
+    """measure's free energy on states whose T gives the m field wanted: T =
+    t_eq gives m = 0, and a uniform T a uniform m."""
+
     def test_all_liquid_is_zero(self):
-        p = SimParams()
-        phi = Field.zeros(16, 16, DX)
-        m = Field.zeros(16, 16, DX)
-        assert free_energy(phi, m, p) == 0.0
+        p = SimParams(nx=16, ny=16)
+        st = SimState(phi=Field.zeros(16, 16, DX), temp=Field.zeros(16, 16, DX))
+        assert measure(st, p).free_energy == 0.0
 
     def test_all_solid_well_depth(self):
-        p = SimParams()
-        m_value = 0.3
-        phi = Field(np.ones((16, 16)), DX)
-        m = Field(np.full((16, 16), m_value), DX)
+        p = SimParams(nx=16, ny=16)
+        st = SimState(phi=Field(np.ones((16, 16)), DX), temp=Field.zeros(16, 16, DX))
+        m_value = float(m_of_temperature(0.0, p))
         area = 16 * 16 * DX * DX
-        assert free_energy(phi, m, p) == pytest.approx(-m_value / 6.0 * area, rel=1e-12)
+        assert measure(st, p).free_energy == pytest.approx(-m_value / 6.0 * area, rel=1e-12)
 
     def test_uniform_field_is_pointwise_density_times_area(self):
-        p = SimParams()
-        value, m_value = 0.3, 0.1
-        phi = Field(np.full((16, 16), value), DX)
-        m = Field(np.full((16, 16), m_value), DX)
-        expected = 256 * double_well(value, m_value) * DX * DX
-        assert free_energy(phi, m, p) == expected
+        p = SimParams(nx=16, ny=16)
+        value, temp = 0.3, np.full((16, 16), 0.2)
+        m = m_of_temperature(temp, p)
+        assert (m == m[0, 0]).all()
+        st = SimState(phi=Field(np.full((16, 16), value), DX), temp=Field(temp, DX))
+        expected = 256 * double_well(value, m[0, 0]) * DX * DX
+        assert measure(st, p).free_energy == expected
 
     def test_mismatched_extents_rejected(self):
-        p = SimParams()
-        with pytest.raises(ValueError, match="extents"):
-            free_energy(Field.zeros(8, 8, DX), Field.zeros(8, 9, DX), p)
-        with pytest.raises(ValueError, match="extents"):
-            free_energy(Field.zeros(10, 10, DX), Field.zeros(8, 8, DX), p)
+        p = SimParams(nx=32, ny=32)
+        st = initialize(SimParams(nx=40, ny=40))
+        with pytest.raises(ValueError, match=r"state phi has shape 40x40.*32x32"):
+            measure(st, p)
+        st = dataclasses.replace(initialize(p), temp=Field.zeros(16, 16, DX))
+        with pytest.raises(ValueError, match=r"state temp has shape 16x16.*32x32"):
+            measure(st, p)
+
+    @pytest.mark.parametrize("name", ["phi", "temp"])
+    def test_mismatched_spacing_rejected(self, name):
+        p = SimParams(nx=32, ny=32)
+        st = initialize(p)
+        st = dataclasses.replace(st, **{name: Field(getattr(st, name).data, 0.05)})
+        with pytest.raises(ValueError, match=rf"state {name} has dx=0\.05.*dx=0\.03"):
+            measure(st, p)
 
     def test_gradient_term_is_positive(self):
-        p = SimParams()
-        phi = disk_field(31, 8.0)
-        m = Field.zeros(31, 31, DX)
-        assert free_energy(phi, m, p) > 0.0
+        # T = t_eq: m = 0, and the well density is 0 at phi 0 and 1
+        p = SimParams(nx=31, ny=31)
+        st = SimState(phi=disk_field(31, 8.0), temp=Field(np.full((31, 31), p.t_eq), DX))
+        assert measure(st, p).free_energy > 0.0
 
     def test_decays_under_isotropic_gradient_flow(self):
         # no latent heat: T stays +0.0 from the start, so the bath is fixed
@@ -314,7 +325,7 @@ class TestFreeEnergyAgainstLonghand:
                 continue
             m = m_of_temperature(st.temp.data, p)
             expected = R.roll_free_energy(st.phi.data, m, p, DX)
-            assert free_energy(st.phi, Field(m, DX), p) == expected
+            assert measure(st, p).free_energy == expected
 
 
 def tip_state(n, r0, amp, lobes, dx=DX):
@@ -355,8 +366,10 @@ class TestMemory:
     def test_radius_profile_peaks_below_two_grid_arrays(self, state):
         assert peak_grid_arrays(lambda: _radius_profile(state.phi), self.N) < 2.0
 
-    def test_measure_peaks_at_ten_grid_arrays(self, state):
-        assert peak_grid_arrays(lambda: measure(state, SimParams()), self.N) <= 10.0
+    @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
+    def test_measure_peaks_at_ten_grid_arrays(self, state, mode):
+        p = SimParams(nx=self.N, ny=self.N, divisor_mode=mode)
+        assert peak_grid_arrays(lambda: measure(state, p), self.N) <= 10.0
 
     def test_measure_of_a_growing_crystal_peaks_below_one_grid_array(self):
         # 12 steps into a noisy 300x300 run the crystal's window is small,
@@ -397,9 +410,10 @@ class TestMeasure:
 
 
 def whole_grid_record(state, p):
-    """measure's record built from the whole-grid public functions."""
+    """measure's record built from the whole-grid public functions and the
+    longhand free energy."""
     phi = state.phi
-    m = Field(m_of_temperature(state.temp.data, p), state.temp.dx)
+    m = m_of_temperature(state.temp.data, p)
     return DiagnosticsRecord(
         step=state.step,
         time=state.step * p.dt,
@@ -409,7 +423,7 @@ def whole_grid_record(state, p):
         tip_py=tip_extent(phi, "+y"),
         tip_my=tip_extent(phi, "-y"),
         conservation_sum=conservation_sum(state, p.latent_heat),
-        free_energy=free_energy(phi, m, p),
+        free_energy=R.roll_free_energy(phi.data, m, p, phi.dx),
         arm_count=arm_count(phi),
     )
 

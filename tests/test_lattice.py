@@ -101,32 +101,37 @@ class TestField:
 
 
 class TestHalo:
-    @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3), (9, 11)])
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
-    def test_whole_grid_window_wraps_like_np_pad(self, shape, k):
+    # grids of 3 and 4 cells along an axis are the ones whose REACH rings
+    # on the two sides overlap or meet
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3), (9, 11), (4, 4), (4, 7),
+                                       (7, 4), (3, 4), (4, 3), (5, 5)])
+    def test_whole_grid_window_wraps_like_np_pad(self, shape):
         a = np.random.default_rng(31).normal(size=shape)
-        want = np.pad(a, k, mode="wrap")
+        want = np.pad(a, REACH, mode="wrap")
         for window in (np.s_[:, :], (slice(0, shape[0]), slice(0, shape[1]))):
-            got = halo((a,), window, k)[0]
+            got = halo((a,), window)[0]
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
-    @pytest.mark.parametrize("k", [0, 1, 2])
-    def test_interior_window_is_the_plain_grid_slice(self, k):
+    @pytest.mark.parametrize("rows, cols", [
+        ((2, 10), (2, 13)), ((3, 4), (5, 6)), ((REACH, 12 - REACH), (REACH, 15 - REACH))])
+    def test_interior_window_is_the_plain_grid_slice(self, rows, cols):
         a = np.random.default_rng(32).normal(size=(12, 15))
-        for rows, cols in [((2, 10), (2, 13)), ((3, 4), (5, 6)), ((k, 12 - k), (k, 15 - k))]:
-            got = halo((a,), (slice(*rows), slice(*cols)), k)[0]
-            want = a[rows[0] - k:rows[1] + k, cols[0] - k:cols[1] + k]
-            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        k = REACH
+        got = halo((a,), (slice(*rows), slice(*cols)))[0]
+        want = a[rows[0] - k:rows[1] + k, cols[0] - k:cols[1] + k]
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_mixed_axes_wrap_only_the_spanned_one(self, k):
+    @pytest.mark.parametrize("spanned", ["rows", "cols"])
+    def test_mixed_axes_wrap_only_the_spanned_one(self, spanned):
         a = np.random.default_rng(33).normal(size=(10, 13))
-        got = halo((a,), (slice(0, 10), slice(4, 9)), k)[0]
-        want = np.pad(a, ((k, k), (0, 0)), mode="wrap")[:, 4 - k:9 + k]
-        assert got.tobytes() == want.tobytes()
-        got = halo((a,), (slice(3, 6), slice(0, 13)), k)[0]
-        want = np.pad(a, ((0, 0), (k, k)), mode="wrap")[3 - k:6 + k]
-        assert got.tobytes() == want.tobytes()
+        k = REACH
+        if spanned == "rows":
+            got = halo((a,), (slice(0, 10), slice(4, 9)))[0]
+            want = np.pad(a, ((k, k), (0, 0)), mode="wrap")[:, 4 - k:9 + k]
+        else:
+            got = halo((a,), (slice(3, 6), slice(0, 13)))[0]
+            want = np.pad(a, ((0, 0), (k, k)), mode="wrap")[3 - k:6 + k]
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     @pytest.mark.parametrize("shape, window", [
         *(((10, 13), w) for w in (np.s_[1:9, :], np.s_[:, 2:12], np.s_[0:3, 4:6],
@@ -141,21 +146,22 @@ class TestHalo:
         a = np.random.default_rng(36).normal(size=shape)
         (r0, r1, _), (c0, c1, _) = (s.indices(n) for s, n in zip(window, shape))
         want = np.pad(a, 2, mode="wrap")[r0:r1 + 4, c0:c1 + 4]
-        got = halo((a,), window, 2)[0]
+        got = halo((a,), window)[0]
         assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_signed_zeros_and_nan_are_copied_bit_for_bit(self):
         a = np.where(np.random.default_rng(34).random((6, 7)) < 0.5, -0.0, 0.0)
         a[2, 3] = np.nan
-        assert halo((a,), np.s_[:, :], 2).tobytes() == np.pad(a, 2, mode="wrap").tobytes()
+        assert halo((a,), np.s_[:, :]).tobytes() == np.pad(a, 2, mode="wrap").tobytes()
 
-    def test_planes_are_copied_together(self):
+    @pytest.mark.parametrize("window", [np.s_[:, :], np.s_[2:5, 0:11], np.s_[3:6, 4:7]],
+                             ids=["whole", "rows", "interior"])
+    def test_planes_are_copied_together(self, window):
         a, b = np.random.default_rng(35).normal(size=(2, 9, 11))
-        for window in (np.s_[:, :], np.s_[2:5, 0:11], np.s_[3:6, 4:7]):
-            pair = halo((a, b), window, 2)
-            assert pair.shape[0] == 2
-            assert pair[0].tobytes() == halo((a,), window, 2)[0].tobytes()
-            assert pair[1].tobytes() == halo((b,), window, 2)[0].tobytes()
+        pair = halo((a, b), window)
+        assert pair.shape[0] == 2
+        assert pair[0].tobytes() == halo((a,), window)[0].tobytes()
+        assert pair[1].tobytes() == halo((b,), window)[0].tobytes()
 
 
 class TestSupportWindow:
@@ -356,7 +362,7 @@ class TestFlatStencils:
     def test_match_the_roll_formulas_bitwise(self, shape, window, seed):
         rng = np.random.default_rng(seed)
         pair = rng.normal(size=(2, *shape))
-        h = halo(pair, window, REACH)
+        h = halo(pair, window)
         pitch = h.shape[2]
         f = h.reshape(2, -1)
         # the window and its ring as whole-grid cells, wrapped on a spanned axis

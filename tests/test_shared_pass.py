@@ -1,8 +1,8 @@
 """A sampled state's pass 1 is shared: run computes solver.stencil_pass once
-and hands it to diagnostics.measure and to step.  The records and states
-must be those of measure and step on their own, and the facts the
-paper_code reuse rests on must hold on this numpy build's SIMD targets
-(CI runs this file once more with numpy's AVX-512 targets off)."""
+and hands it to diagnostics.measure and to step.  The records must be the
+whole-grid longhand ones, the states those of step on its own, and the
+facts the paper_code reuse rests on must hold on this numpy build's SIMD
+targets (CI runs this file once more with numpy's AVX-512 targets off)."""
 
 import dataclasses
 
@@ -15,6 +15,7 @@ from dendrosim.diagnostics import measure
 from dendrosim.lattice import CENTERED, Field, nonzero_box, widen
 from dendrosim.physics import RngStream
 from dendrosim.solver import SimParams, SimState, initialize, run, step, stencil_pass
+from test_diagnostics import whole_grid_record
 
 # the bench's sample-dense config: 128^2, noise-free, a sample every step
 SAMPLE_DENSE = SimParams(nx=128, ny=128, total_steps=100, diagnostics_every=1,
@@ -42,11 +43,11 @@ def record_bytes(rec):
 
 def assert_shared_pass_record(st, p):
     shared = measure(st, p, stencils=stencil_pass(st, p))
-    assert record_bytes(shared) == record_bytes(measure(st, p))
+    assert record_bytes(shared) == record_bytes(whole_grid_record(st, p))
 
 
 class TestMeasureWithPassOne:
-    """measure with the state's pass 1 equals measure without it."""
+    """measure with the state's pass 1 equals the whole-grid longhand record."""
 
     @pytest.mark.parametrize("p", [SAMPLE_DENSE, NOISY_300, BUG_CENTERED],
                              ids=["sample-dense", "noisy-300", "bug-centered"])
@@ -73,7 +74,8 @@ class TestMeasureWithPassOne:
 
 
 class TestRunSharesPassOne:
-    """run's records and states equal those of a plain step + measure loop."""
+    """run's states equal those of a plain step loop, and its records the
+    whole-grid longhand ones of those states."""
 
     @pytest.mark.parametrize("p", [SAMPLE_DENSE, BUG_CENTERED,
                                    SimParams(nx=40, ny=47, total_steps=120, noise_amp=0.02,
@@ -86,7 +88,7 @@ class TestRunSharesPassOne:
         expected, last = [], None
         for st in states(p):
             if st.step % p.diagnostics_every == 0 or st.step == p.total_steps:
-                expected.append(record_bytes(measure(st, p)))
+                expected.append(record_bytes(whole_grid_record(st, p)))
             last = st
         final, records = run(p)
         assert [record_bytes(r) for r in records] == expected

@@ -10,7 +10,7 @@ import pytest
 
 import reference as R
 from dendrosim import lattice, solver
-from dendrosim.diagnostics import free_energy, measure
+from dendrosim.diagnostics import measure
 from dendrosim.lattice import (
     CENTERED,
     PAPER_CODE,
@@ -514,7 +514,7 @@ class TestMemory:
 
 
 class TestNoRolledCopies:
-    def test_step_and_free_energy_never_call_np_roll(self, monkeypatch):
+    def test_step_and_measure_never_call_np_roll(self, monkeypatch):
         def no_roll(*args, **kwargs):
             raise AssertionError("np.roll called")
 
@@ -522,18 +522,17 @@ class TestNoRolledCopies:
         for mode in (PAPER_CODE, CENTERED):
             p = small_params(noise_amp=0.01, divisor_mode=mode)
             st = step(initialize(p), p, rng=RngStream(1))
-            m = Field(m_of_temperature(st.temp.data, p), p.dx)
-            assert np.isfinite(free_energy(st.phi, m, p))
+            assert np.isfinite(measure(st, p).free_energy)
 
-    @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
-    def test_a_step_makes_one_pair_halo_copy_and_no_pad(self, monkeypatch, mode):
-        # one copy of phi and T together with 2 rings, on a small window and
-        # on the whole grid alike
+    @staticmethod
+    def halo_copies(monkeypatch, mode, call):
+        """The plane counts of the solver.halo calls that call(st, p) makes,
+        on a small window and on the whole grid; np.pad is never called."""
         calls = []
 
-        def counting(planes, window, k):
-            calls.append((len(planes), k))
-            return lattice.halo(planes, window, k)
+        def counting(planes, window):
+            calls.append(len(planes))
+            return lattice.halo(planes, window)
 
         def no_pad(*args, **kwargs):
             raise AssertionError("np.pad called")
@@ -543,10 +542,25 @@ class TestNoRolledCopies:
         p = small_params(noise_amp=0.01, divisor_mode=mode)
         full = SimState(phi=Field(np.random.default_rng(2).random((32, 32)), p.dx),
                         temp=Field.zeros(32, 32, p.dx))
+        copies = []
         for st in (initialize(p), full):
             calls.clear()
-            step(st, p, rng=RngStream(1))
-            assert calls == [(2, 2)]
+            call(st, p)
+            copies.append(list(calls))
+        return copies
+
+    @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
+    def test_a_step_makes_one_pair_halo_copy_and_no_pad(self, monkeypatch, mode):
+        # one copy of phi and T together with 2 rings, on a small window and
+        # on the whole grid alike
+        copies = self.halo_copies(monkeypatch, mode, lambda st, p: step(st, p, RngStream(1)))
+        assert copies == [[2], [2]]
+
+    @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
+    def test_a_standalone_measure_makes_one_pair_halo_copy_and_no_pad(self, monkeypatch,
+                                                                       mode):
+        # measure's own pass 1 is the step's, with the same one copy
+        assert self.halo_copies(monkeypatch, mode, measure) == [[2], [2]]
 
 
 class TestHeatModeDecay:
