@@ -61,7 +61,7 @@ def _collect_overrides(args) -> dict:
         overrides.update(PRESETS[args.preset])
     if args.config:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            text = Path(args.config).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         overrides.update(parse_config_text(text))

@@ -93,7 +93,7 @@ def _radius_profile(phi: Field) -> np.ndarray:
     u = np.choose(quadrant, (di, dj, -di, -dj)).astype(float)
     v = np.choose(quadrant, (dj, -di, -dj, di)).astype(float)
 
-    profile = np.zeros(450)
+    profile = np.zeros(360)
     radius = np.hypot(u * dx, v * dx)
     # folded cells have u >= 1 and v >= 0, so all four corners stay in the
     # open right half-plane, where the angle grows with y and, above the
@@ -109,14 +109,12 @@ def _radius_profile(phi: Field) -> np.ndarray:
     # less the index of the cell's first pair
     n = hi - lo + 1
     first = np.cumsum(n) - n
-    # slot = sector + 90: a sector of quadrant 0 may start below the x axis
-    # (lo >= -45), and slots 0-89 then fold onto sectors 270-359 (slots
-    # 360-449); every max is exact, so the fold keeps every bit
-    slot = np.repeat(quadrant * 90 + 90 + lo - first, n)
+    # a sector of quadrant 0 may start below the x axis (lo >= -45): its
+    # negative slot counts from the end, onto sectors 315-359
+    slot = np.repeat(quadrant * 90 + lo - first, n)
     slot += np.arange(slot.size)
     np.maximum.at(profile, slot, np.repeat(radius, n))
-    np.maximum(profile[360:], profile[:90], out=profile[360:])
-    return profile[90:]
+    return profile
 
 
 def arm_count(phi: Field) -> int:
@@ -172,14 +170,8 @@ def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
     phi, temp = state.phi, state.temp
     cut = replace(state, phi=Field(phi.data[window], phi.dx),
                   temp=Field(temp.data[window], temp.dx))
-    # 0.5 eps eps (gx gx + gy gy) in place, in that order; gx, gy and eps
-    # may be views of run's pass 1, so they are only read
-    bend = eps * 0.5
-    bend *= eps
-    g2 = gx * gx
-    g2 += gy * gy
-    bend *= g2
-    del gx, gy, eps, g2
+    bend = eps * 0.5 * eps * (gx * gx + gy * gy)
+    del gx, gy, eps
     density = double_well(cut.phi.data, m_of_temperature(cut.temp.data, p))
     density += cell_view(bend, pitch, cut.phi.ny)
     return DiagnosticsRecord(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from datetime import datetime, timezone
 
 import numpy as np
@@ -103,12 +104,16 @@ def format_config(p: SimParams) -> str:
 
 
 def write_snapshot(field: Field, path, name: str = "phi", step: int = 0, dt: float = 0.0) -> int:
-    """Write a field as header + raw float64 payload; returns bytes written."""
+    """Write a field as header + raw float64 payload; returns bytes written.
+    A header that read_snapshot would reject is a ValueError, and no file."""
+    dt = float(dt)
+    if not (0.0 <= dt < math.inf and step >= 0 and name.isascii() and name.isprintable()):
+        raise ValueError(f"no snapshot header for dt={dt!r}, step={step!r}, name={name!r}")
     header = SNAPSHOT_MAGIC + (
         f"nx {field.nx}\n"
         f"ny {field.ny}\n"
         f"dx {float(field.dx)!r}\n"
-        f"dt {float(dt)!r}\n"
+        f"dt {dt!r}\n"
         f"step {step}\n"
         f"field {name}\n"
         "\n"
@@ -142,18 +147,23 @@ def read_snapshot(path) -> tuple[Field, dict]:
     header = {}
     for line in lines:
         key, _, value = line.partition(" ")
+        if key in header:
+            raise SnapshotFormatError(f"snapshot header repeats '{key}'")
         header[key] = value
     for key in ("nx", "ny", "dx", "dt", "step", "field"):
         if key not in header:
             raise SnapshotFormatError(f"snapshot header missing '{key}'")
     try:
-        for key in ("nx", "ny", "step"):
-            # int() would also take a sign, spaces and "_" separators
-            if not (header[key].isascii() and header[key].isdigit()):
-                raise ValueError(f"{key} must be decimal digits, got {header[key]!r}")
+        for key in ("nx", "ny", "step", "dx", "dt"):
+            # int() and float() would also take spaces and "_" separators, int() a sign
+            text = header[key]
+            if "_" in text or text != text.strip() or key in ("nx", "ny", "step") and not text.isdigit():
+                raise ValueError(f"{key} must be a bare decimal number, got {text!r}")
         nx, ny = int(header["nx"]), int(header["ny"])
-        dx = float(header["dx"])
-        meta = {"step": int(header["step"]), "dt": float(header["dt"]), "field": header["field"]}
+        dx, dt = float(header["dx"]), float(header["dt"])
+        if not 0.0 <= dt < math.inf:
+            raise ValueError(f"dt must be finite and non-negative, got {dt!r}")
+        meta = {"step": int(header["step"]), "dt": dt, "field": header["field"]}
     except ValueError as exc:
         raise SnapshotFormatError(f"malformed snapshot header: {exc}") from None
     payload = blob[end + 2:]

@@ -64,26 +64,9 @@ def double_well(phi, m):
 
     The powers are products, not `**`: every operation is then correctly
     rounded, so the bits do not depend on the numpy build's pow loops.
-    It is built in two arrays of the broadcast shape, in place, by the
-    operations of 0.25 p2^2 - (0.5 - m/3) (p2 phi) + (0.25 - 0.5 m) p2
-    (p2 = phi phi) in that order, products with their operands swapped at
-    most, which keeps every bit; a scalar call returns a scalar.
     """
-    phi = np.asarray(phi, dtype=np.float64)
     p2 = phi * phi
-    well = np.empty(np.broadcast_shapes(phi.shape, np.shape(m)))
-    coef = np.empty_like(well)
-    np.multiply(p2, p2, out=well)
-    well *= 0.25
-    np.divide(m, 3.0, out=coef)
-    np.subtract(0.5, coef, out=coef)
-    coef *= p2 * phi
-    well -= coef
-    np.multiply(m, 0.5, out=coef)
-    np.subtract(0.25, coef, out=coef)
-    coef *= p2
-    well += coef
-    return well[()]
+    return 0.25 * (p2 * p2) - (0.5 - m / 3.0) * (p2 * phi) + (0.25 - 0.5 * m) * p2
 
 
 def reaction_term(phi, m):

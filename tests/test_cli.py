@@ -204,6 +204,16 @@ class TestCheck:
         assert main(["check", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_config_file_with_byte_order_mark_reads_as_without(self, tmp_path, capsys):
+        text = "nx = 64\nlatent_heat = 1.6\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert main(["check", "--config", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["check", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == want
+
     def test_desk_preset_resolves_grid(self, capsys):
         assert main(["check", "--preset", "desk"]) == 0
         values = self.parse(capsys.readouterr().out)

@@ -308,11 +308,21 @@ class TestSnapshot:
             ({"step": b"-5"}, 16, "malformed"),
             ({"step": b"1_0"}, 16, "malformed"),
             ({"step": b" +3"}, 16, "malformed"),
+            ({"dt": b"nan"}, 16, "malformed"),
+            ({"dt": b"inf"}, 16, "malformed"),
+            ({"dt": b"-1"}, 16, "malformed"),
+            ({"dt": b"1_0"}, 16, "malformed"),
+            ({"dt": b" 5"}, 16, "malformed"),
+            ({"dx": b"1_0"}, 16, "malformed"),
+            ({"dx": b"0.03 "}, 16, "malformed"),
+            ({"field": b"phi\nnx 3"}, 12, "repeats 'nx'"),
         ],
         ids=["nx-not-int", "nx-too-small", "negative-extents", "zero-dx", "step-not-int",
              "non-ascii", "nan-dx", "inf-dx", "nx-underscore", "nx-plus-sign",
              "one-negative-extent", "negative-odd-extents", "step-negative",
-             "step-underscore", "step-space-plus-sign"],
+             "step-underscore", "step-space-plus-sign", "nan-dt", "inf-dt", "negative-dt",
+             "dt-underscore", "dt-leading-space", "dx-underscore", "dx-trailing-space",
+             "repeated-key"],
     )
     def test_malformed_header_value_rejected(self, tmp_path, changed, payload_cells, message):
         header = {b"nx": b"4", b"ny": b"4", b"dx": b"0.03", b"dt": b"0.0001",
@@ -323,6 +333,19 @@ class TestSnapshot:
                          + b"\n" + b"\x00" * (8 * payload_cells))
         with pytest.raises(SnapshotFormatError, match=message):
             read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"dt": float("nan")}, {"dt": float("inf")}, {"dt": -1.0}, {"step": -1},
+         {"name": "phi\nnx 5"}, {"name": "phi\r"}],
+        ids=["nan-dt", "inf-dt", "negative-dt", "negative-step", "name-line-break",
+             "name-carriage-return"],
+    )
+    def test_writer_refuses_a_header_the_reader_rejects(self, tmp_path, kwargs):
+        path = tmp_path / "f.pfds"
+        with pytest.raises(ValueError):
+            write_snapshot(Field.zeros(5, 5, 0.03), path, **kwargs)
+        assert not path.exists()
 
     @given(st.one_of(st.binary(max_size=200), snapshot_bodies()))
     def test_arbitrary_bytes_after_magic_raise_only_format_error(self, tmp_path_factory, body):

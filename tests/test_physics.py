@@ -229,7 +229,8 @@ class TestDoubleWell:
         ((40, 30), (40, 30)), ((40, 1), (1, 30)), ((40, 30), ()), ((), (40, 30)), ((), ()),
     ])
     def test_bits_of_the_one_expression_form(self, phi_shape, m_shape):
-        # the in-place build against the expression it replaces, broadcast
+        # pins the shipped expression bit for bit, on arrays, broadcast
+        # shapes and scalars
         rng = np.random.default_rng(41)
         phi = rng.uniform(-0.5, 1.5, phi_shape)
         m = rng.uniform(-0.45, 0.45, m_shape)
