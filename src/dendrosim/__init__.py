@@ -15,7 +15,7 @@ from .diagnostics import (
     conservation_sum,
     measure,
     solid_fraction,
-    tip_extent,
+    tip_extents,
 )
 from .io import (
     ConfigError,
@@ -88,7 +88,7 @@ __all__ = [
     "solid_fraction",
     "stability_check",
     "step",
-    "tip_extent",
+    "tip_extents",
     "write_diagnostics_csv",
     "write_field_csv",
     "write_manifest",

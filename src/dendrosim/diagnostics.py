@@ -6,7 +6,7 @@ symmetric midpoint of the two bulk values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,6 @@ SOLID_THRESHOLD = 0.5
 # arm_count: the least swing of the sector radius profile, in grid cells, that
 # is more than lattice wiggle (a lattice disk up to 140 cells swings under one)
 ARM_MIN_CELLS = 2.0
-
-_DIRECTIONS = ("+x", "-x", "+y", "-y")
 
 
 @dataclass
@@ -41,27 +39,16 @@ def solid_fraction(phi: Field) -> float:
     return float(np.count_nonzero(phi.data >= SOLID_THRESHOLD)) / (phi.nx * phi.ny)
 
 
-def tip_extent(phi: Field, direction: str) -> float:
-    """Distance from the grid center to the farthest solid cell on an axis ray.
-
-    direction is one of "+x", "-x", "+y", "-y"; returns 0 when the ray holds
-    no solid cell.
-    """
+def tip_extents(phi: Field) -> tuple[float, float, float, float]:
+    """Distances (+x, -x, +y, -y) from the grid center to the farthest solid
+    cell on each axis ray; 0 for a ray that holds no solid cell."""
     ci, cj = phi.nx // 2, phi.ny // 2
-    if direction == "+x":
-        ray = phi.data[ci:, cj]
-    elif direction == "-x":
-        ray = phi.data[ci::-1, cj]
-    elif direction == "+y":
-        ray = phi.data[ci, cj:]
-    elif direction == "-y":
-        ray = phi.data[ci, cj::-1]
-    else:
-        raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-    solid = np.nonzero(ray >= SOLID_THRESHOLD)[0]
-    if solid.size == 0:
-        return 0.0
-    return float(solid[-1]) * phi.dx
+    rays = (phi.data[ci:, cj], phi.data[ci::-1, cj], phi.data[ci, cj:], phi.data[ci, cj::-1])
+    tips = []
+    for ray in rays:
+        solid = np.nonzero(ray >= SOLID_THRESHOLD)[0]
+        tips.append(float(solid[-1]) * phi.dx if solid.size else 0.0)
+    return tuple(tips)
 
 
 def _radius_profile(phi: Field) -> np.ndarray:
@@ -83,11 +70,10 @@ def _radius_profile(phi: Field) -> np.ndarray:
     di = cells // ny - nx // 2
     dj = cells % ny - ny // 2
 
-    q0 = (di > 0) & (dj >= 0)
     q1 = (dj > 0) & (di <= 0)
     q2 = (di < 0) & (dj <= 0)
     q3 = (dj < 0) & (di >= 0)
-    keep = q0 | q1 | q2 | q3  # every cell but the center
+    keep = (di != 0) | (dj != 0)  # every cell but the center
     quadrant = (q1 + 2 * q2 + 3 * q3)[keep]
     di, dj = di[keep], dj[keep]
     u = np.choose(quadrant, (di, dj, -di, -dj)).astype(float)
@@ -130,9 +116,9 @@ def arm_count(phi: Field) -> int:
     return 1 + int(np.argmax(np.abs(np.fft.rfft(profile)[1:])))
 
 
-def conservation_sum(state, latent_heat: float) -> float:
+def conservation_sum(phi: Field, temp: Field, latent_heat: float) -> float:
     """lattice_sum(T) - K * lattice_sum(phi); invariant of the noise-free update."""
-    return lattice_sum(state.temp) - latent_heat * lattice_sum(state.phi)
+    return lattice_sum(temp) - latent_heat * lattice_sum(phi)
 
 
 def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
@@ -168,21 +154,21 @@ def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
     if p.divisor_mode == PAPER_CODE:
         gx, gy = 0.5 * gx, 0.5 * gy
     phi, temp = state.phi, state.temp
-    cut = replace(state, phi=Field(phi.data[window], phi.dx),
-                  temp=Field(temp.data[window], temp.dx))
+    phi_w, temp_w = Field(phi.data[window], phi.dx), Field(temp.data[window], temp.dx)
     bend = eps * 0.5 * eps * (gx * gx + gy * gy)
     del gx, gy, eps
-    density = double_well(cut.phi.data, m_of_temperature(cut.temp.data, p))
-    density += cell_view(bend, pitch, cut.phi.ny)
+    density = double_well(phi_w.data, m_of_temperature(temp_w.data, p))
+    density += cell_view(bend, pitch, phi_w.ny)
+    tip_px, tip_mx, tip_py, tip_my = tip_extents(phi)
     return DiagnosticsRecord(
         step=state.step,
         time=state.step * p.dt,
         solid_fraction=solid_fraction(phi),
-        tip_px=tip_extent(phi, "+x"),
-        tip_mx=tip_extent(phi, "-x"),
-        tip_py=tip_extent(phi, "+y"),
-        tip_my=tip_extent(phi, "-y"),
-        conservation_sum=conservation_sum(cut, p.latent_heat),
+        tip_px=tip_px,
+        tip_mx=tip_mx,
+        tip_py=tip_py,
+        tip_my=tip_my,
+        conservation_sum=conservation_sum(phi_w, temp_w, p.latent_heat),
         free_energy=lattice_sum(Field(density, phi.dx)),
         arm_count=arm_count(phi),
     )

@@ -53,7 +53,7 @@ def parse_value(key: str, text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse "key = value" lines into a typed override dict (no defaults applied)."""
+    """Parse "key = value" lines, each key once, into a typed override dict (no defaults applied)."""
     overrides = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -63,6 +63,8 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"line {lineno}: repeated config key '{key}'")
         overrides[key] = parse_value(key, value)
     return overrides
 
@@ -141,7 +143,7 @@ def read_snapshot(path) -> tuple[Field, dict]:
     except ValueError:
         raise SnapshotFormatError("truncated snapshot header") from None
     try:
-        lines = blob[len(SNAPSHOT_MAGIC):end].decode("ascii").splitlines()
+        lines = blob[len(SNAPSHOT_MAGIC):end].decode("ascii").split("\n")
     except UnicodeDecodeError:
         raise SnapshotFormatError("snapshot header is not ASCII") from None
     header = {}
@@ -163,6 +165,8 @@ def read_snapshot(path) -> tuple[Field, dict]:
         dx, dt = float(header["dx"]), float(header["dt"])
         if not 0.0 <= dt < math.inf:
             raise ValueError(f"dt must be finite and non-negative, got {dt!r}")
+        if not header["field"].isprintable():
+            raise ValueError(f"field must be printable ASCII, got {header['field']!r}")
         meta = {"step": int(header["step"]), "dt": dt, "field": header["field"]}
     except ValueError as exc:
         raise SnapshotFormatError(f"malformed snapshot header: {exc}") from None

@@ -214,6 +214,14 @@ class TestCheck:
         assert main(["check", "--config", str(marked)]) == 0
         assert capsys.readouterr() == want
 
+    def test_config_file_repeating_a_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("nx = 64\nnx = 96\n")
+        assert main(["check", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: line 2: repeated config key 'nx'\n"
+
     def test_desk_preset_resolves_grid(self, capsys):
         assert main(["check", "--preset", "desk"]) == 0
         values = self.parse(capsys.readouterr().out)

@@ -16,7 +16,7 @@ from dendrosim.diagnostics import (
     conservation_sum,
     measure,
     solid_fraction,
-    tip_extent,
+    tip_extents,
 )
 from dendrosim.lattice import CENTERED, PAPER_CODE, Field, nonzero_box, widen
 from dendrosim.physics import RngStream, double_well, m_of_temperature
@@ -71,20 +71,16 @@ class TestSolidFraction:
 
 class TestTipExtent:
     def test_all_liquid_is_zero(self):
-        f = Field.zeros(16, 16, DX)
-        for d in ("+x", "-x", "+y", "-y"):
-            assert tip_extent(f, d) == 0.0
+        assert tip_extents(Field.zeros(16, 16, DX)) == (0.0, 0.0, 0.0, 0.0)
 
     def test_disk_radius_within_one_cell(self):
         r = np.sqrt(104.0)
-        f = disk_field(41, r)
-        for d in ("+x", "-x", "+y", "-y"):
-            assert abs(tip_extent(f, d) - r * DX) <= DX
+        for tip in tip_extents(disk_field(41, r)):
+            assert abs(tip - r * DX) <= DX
 
     def test_default_seed_reaches_four_cells(self):
         st = initialize(SimParams())
-        for d in ("+x", "-x", "+y", "-y"):
-            assert tip_extent(st.phi, d) == 4 * DX
+        assert tip_extents(st.phi) == (4 * DX, 4 * DX, 4 * DX, 4 * DX)
 
     def test_each_direction_scans_its_own_ray(self):
         n, c = 21, 10
@@ -94,22 +90,13 @@ class TestTipExtent:
         a[c - 3, c] = 1.0
         a[c, c + 2] = 1.0
         a[c, c - 5] = 1.0
-        f = Field(a, DX)
-        assert tip_extent(f, "+x") == 6 * DX
-        assert tip_extent(f, "-x") == 3 * DX
-        assert tip_extent(f, "+y") == 2 * DX
-        assert tip_extent(f, "-y") == 5 * DX
-
-    def test_unknown_direction_rejected(self):
-        with pytest.raises(ValueError, match="direction"):
-            tip_extent(Field.zeros(8, 8, DX), "up")
+        assert tip_extents(Field(a, DX)) == (6 * DX, 3 * DX, 2 * DX, 5 * DX)
 
     def test_subthreshold_offset_changes_nothing(self):
         base = disk_field(31, 8.0)
         shifted_values = Field(base.data + 0.49, DX)
         assert solid_fraction(shifted_values) == solid_fraction(base)
-        for d in ("+x", "-x", "+y", "-y"):
-            assert tip_extent(shifted_values, d) == tip_extent(base, d)
+        assert tip_extents(shifted_values) == tip_extents(base)
 
 
 def run_states(p, steps):
@@ -236,21 +223,18 @@ class TestArmCountOracle:
 
 class TestConservationSum:
     def test_empty_state(self):
-        st = SimState(phi=Field.zeros(8, 8, DX), temp=Field.zeros(8, 8, DX))
-        assert conservation_sum(st, 1.8) == 0.0
+        assert conservation_sum(Field.zeros(8, 8, DX), Field.zeros(8, 8, DX), 1.8) == 0.0
 
     def test_all_solid_cold_bath(self):
-        st = SimState(
-            phi=Field(np.ones((100, 100)), DX),
-            temp=Field.zeros(100, 100, DX),
-        )
-        assert conservation_sum(st, 1.8) == pytest.approx(-16.2, rel=1e-12)
+        phi, temp = Field(np.ones((100, 100)), DX), Field.zeros(100, 100, DX)
+        assert conservation_sum(phi, temp, 1.8) == pytest.approx(-16.2, rel=1e-12)
 
     def test_invariant_across_one_step(self):
         p = SimParams(nx=64, ny=64)
         st = initialize(p)
-        before = conservation_sum(st, p.latent_heat)
-        after = conservation_sum(step(st, p), p.latent_heat)
+        nxt = step(st, p)
+        before = conservation_sum(st.phi, st.temp, p.latent_heat)
+        after = conservation_sum(nxt.phi, nxt.temp, p.latent_heat)
         assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
@@ -412,17 +396,18 @@ class TestMeasure:
 def whole_grid_record(state, p):
     """measure's record built from the whole-grid public functions and the
     longhand free energy."""
-    phi = state.phi
-    m = m_of_temperature(state.temp.data, p)
+    phi, temp = state.phi, state.temp
+    m = m_of_temperature(temp.data, p)
+    tip_px, tip_mx, tip_py, tip_my = tip_extents(phi)
     return DiagnosticsRecord(
         step=state.step,
         time=state.step * p.dt,
         solid_fraction=solid_fraction(phi),
-        tip_px=tip_extent(phi, "+x"),
-        tip_mx=tip_extent(phi, "-x"),
-        tip_py=tip_extent(phi, "+y"),
-        tip_my=tip_extent(phi, "-y"),
-        conservation_sum=conservation_sum(state, p.latent_heat),
+        tip_px=tip_px,
+        tip_mx=tip_mx,
+        tip_py=tip_py,
+        tip_my=tip_my,
+        conservation_sum=conservation_sum(phi, temp, p.latent_heat),
         free_energy=R.roll_free_energy(phi.data, m, p, phi.dx),
         arm_count=arm_count(phi),
     )

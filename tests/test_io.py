@@ -132,6 +132,10 @@ class TestConfigParsing:
         overrides = parse_config_text("nx = 64\nnoise_amp = 0.01\n")
         assert overrides == {"nx": 64, "noise_amp": 0.01}
 
+    def test_repeated_key_rejected_with_its_line(self):
+        with pytest.raises(ConfigError, match=r"^line 3: repeated config key 'nx'$"):
+            parse_config_text("nx = 64\n# wider\nnx = 96\n")
+
     def test_unknown_key_in_dict_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             params_from_dict({"workers": 4})
@@ -316,13 +320,15 @@ class TestSnapshot:
             ({"dx": b"1_0"}, 16, "malformed"),
             ({"dx": b"0.03 "}, 16, "malformed"),
             ({"field": b"phi\nnx 3"}, 12, "repeats 'nx'"),
+            ({"field": b"ph\ti\x7f"}, 16, "printable"),
+            ({"field": b"a\x0cb"}, 16, "printable"),
         ],
         ids=["nx-not-int", "nx-too-small", "negative-extents", "zero-dx", "step-not-int",
              "non-ascii", "nan-dx", "inf-dx", "nx-underscore", "nx-plus-sign",
              "one-negative-extent", "negative-odd-extents", "step-negative",
              "step-underscore", "step-space-plus-sign", "nan-dt", "inf-dt", "negative-dt",
              "dt-underscore", "dt-leading-space", "dx-underscore", "dx-trailing-space",
-             "repeated-key"],
+             "repeated-key", "field-tab", "field-form-feed"],
     )
     def test_malformed_header_value_rejected(self, tmp_path, changed, payload_cells, message):
         header = {b"nx": b"4", b"ny": b"4", b"dx": b"0.03", b"dt": b"0.0001",
