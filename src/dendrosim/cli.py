@@ -61,7 +61,8 @@ def _collect_overrides(args) -> dict:
         overrides.update(PRESETS[args.preset])
     if args.config:
         try:
-            text = Path(args.config).read_text(encoding="utf-8-sig")
+            # bytes, so no newline translation: a lone "\r" ends no line
+            text = Path(args.config).read_bytes().decode("utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
         overrides.update(parse_config_text(text))

@@ -19,6 +19,7 @@ from .lattice import Field
 from .solver import FIELD_TYPES, SimParams
 
 SNAPSHOT_MAGIC = b"PFDS1\n"
+_HEADER_KEYS = ("nx", "ny", "dx", "dt", "step", "field")
 
 
 # config key -> value type, in document order: the SimParams fields but
@@ -53,9 +54,12 @@ def parse_value(key: str, text: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse "key = value" lines, each key once, into a typed override dict (no defaults applied)."""
+    """Parse "key = value" lines, each key once, into a typed override dict
+    (no defaults applied).  Only "\n" ends a line, so that a line number
+    is an editor's; the "\r" of a "\r\n" ending is stripped with the
+    other surrounding whitespace."""
     overrides = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -149,10 +153,12 @@ def read_snapshot(path) -> tuple[Field, dict]:
     header = {}
     for line in lines:
         key, _, value = line.partition(" ")
+        if key not in _HEADER_KEYS:
+            raise SnapshotFormatError(f"unknown snapshot header key {key!r}")
         if key in header:
             raise SnapshotFormatError(f"snapshot header repeats '{key}'")
         header[key] = value
-    for key in ("nx", "ny", "dx", "dt", "step", "field"):
+    for key in _HEADER_KEYS:
         if key not in header:
             raise SnapshotFormatError(f"snapshot header missing '{key}'")
     try:

@@ -185,7 +185,10 @@ class SimState:
     assigning one raises FrozenInstanceError, and a changed copy is made
     with dataclasses.replace.  Building a state makes its phi and T arrays
     read-only, the caller's own array too where Field did not copy it, so
-    writing into them raises ValueError.
+    writing into them raises ValueError.  The one way round that is step's
+    `spare`: a state its caller gives up, whose grid step writes the next
+    state into.  run gives up only states it has dropped, never one it
+    handed to a caller (see run).
     """
 
     phi: Field
@@ -270,8 +273,32 @@ def stencil_pass(state: SimState, p: SimParams) -> PassOne:
     return PassOne(window, pitch, ring, gx, gy, eps, eps_prime)
 
 
+def _reused_grid(spare: SimState, state: SimState, window: Box) -> np.ndarray:
+    """The writeable (2, nx, ny) array whose planes are spare's phi and T,
+    with spare's box cleared if it reaches outside `window`; a ValueError
+    if there is no such array or state shares it."""
+    shape = state.phi.data.shape
+    phi, temp = spare.phi.data, spare.temp.data
+    grid = phi.base
+    # two disjoint C-contiguous planes in the buffer of a C-contiguous
+    # (2, nx, ny) array are its two planes
+    if not (isinstance(grid, np.ndarray) and grid.shape == (2, *shape)
+            and grid.flags.writeable and grid.flags.c_contiguous and temp.base is grid
+            and phi.shape == temp.shape == shape and not np.may_share_memory(phi, temp)):
+        raise ValueError("spare phi and T must be the two planes of one writeable "
+                         f"(2, {shape[0]}, {shape[1]}) array")
+    if np.may_share_memory(grid, state.phi.data) or np.may_share_memory(grid, state.temp.data):
+        raise ValueError("spare shares its grid with the stepped state")
+    box = spare.box
+    # in a run the box lies inside the window but where the crystal shrinks
+    if box is not None and not all(w.start <= b.start and b.stop <= w.stop
+                                   for b, w in zip(box, window)):
+        grid[(slice(None), *box)] = 0.0
+    return grid
+
+
 def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
-         stencils: PassOne | None = None) -> SimState:
+         stencils: PassOne | None = None, spare: SimState | None = None) -> SimState:
     """Advance one step on cells of side p.dx, the spacing the stability
     check in SimParams passed; a state field of another spacing, or of
     another shape than p.nx x p.ny, is a ValueError (see stencil_pass).
@@ -314,10 +341,21 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
         T'    =  T + dt lap(T) + latent_heat * dphi
 
     The last sums of phi' and T' are written into the window of one
-    (2, nx, ny) grid of zeros, whose planes are the new state's fields; that
-    window alone is checked for finite values and scanned for the new box,
-    which the new state carries.  A BlowupError names the first non-finite
-    cell of the grid, phi before T.
+    (2, nx, ny) grid, +0.0 outside the window, whose planes are the new
+    state's fields; that window alone is checked for finite values and
+    scanned for the new box, which the new state carries.  A BlowupError
+    names the first non-finite cell of the grid, phi before T.
+    That grid is a new one of zeros, or, given `spare`, the grid of that
+    state, which the caller gives up.  Its phi and T must be the two planes
+    of one writeable (2, nx, ny) array that the stepped state does not
+    share, as in every state step returns; anything else is a ValueError,
+    raised before the noise is drawn.  Its box is cleared if it reaches
+    outside the window, and the window written, so its cells outside its
+    box must be +0.0, as in every state step returns (none holds a -0.0
+    cell).  The spare's fields then change, also when step raises
+    BlowupError, so it must be a state no one reads again.  run gives each
+    step the state it has just dropped, which saves zero-filling the whole
+    grid at every step.
 
     With replicate_appendix_bug the eps^2 gradient degenerates to the two
     scalars left over from the grid's last raster cell, reproducing the
@@ -329,6 +367,8 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
         stencils = stencil_pass(state, p)
     window, pitch, ring, gx, gy, eps, eps_prime = stencils
     del stencils  # so the dels below free what they name
+    # before the noise draw, so a spare that raises leaves rng where it was
+    grid = None if spare is None else _reused_grid(spare, state, window)
     inner = inset(pitch)
     phi, temp = ring[:, inner]
     lap_phi, lap_t = laplacian9_arrays(ring, pitch, dx)
@@ -355,7 +395,10 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     div = divisors(dx, mode)
     dt_over_tau = p.dt / p.tau
     term1 = (qx[pitch + 2:-pitch] - qx[pitch:-pitch - 2]) / div
-    term2 = -(qy[2 * pitch + 1:-1] - qy[1:-2 * pitch - 1]) / div
+    # -d/dx as one difference: (b - a) and -(a - b) differ only in the sign
+    # of a zero, and no state from initialize or step holds a -0.0 cell, so
+    # that sign cannot reach phi + dphi or heated + latent_heat * dphi
+    term2 = (qy[1:-2 * pitch - 1] - qy[2 * pitch + 1:-1]) / div
     # the later temporaries live to the end of the step: freed early, they
     # leave the top of the heap free, and the allocator returns it to the
     # system at every step, to fault it back in at the next
@@ -374,7 +417,8 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
         rhs = rhs + noise_term(phi, p.noise_amp, chi)
     dphi = rhs * dt_over_tau
 
-    grid = np.zeros((2, *shape))
+    if grid is None:
+        grid = np.zeros((2, *shape))
     new = grid[(slice(None), *window)]
     np.add(phi, dphi, out=new[0])
     heated = temp + p.dt * lap_t
@@ -398,6 +442,26 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     return result
 
 
+# Bytes of the block run allocates and frees once in a process, before its
+# first step.  glibc's malloc raises its mmap threshold to the size of the
+# first mmap-ed block freed above it, and its heap-trim threshold to twice
+# that, but no further than 32 MiB and 64 MiB; this block takes them that
+# far.  Unsettled, a step hands the top of the heap back to the system and
+# faults it in again at the next, and more so when it writes into a reused
+# grid, as in run: no late allocation pins the heap's top.  In fresh
+# processes (glibc 2.36), a block just under 4 MiB left a noisy 300x300 run
+# faulting 1291 pages per step, and a 16 MiB one the 500x500 default preset
+# 1675; this one, 24 and 41.  Once only: a later block would come from the
+# heap, where numpy advises huge pages for an array of 4 MiB and up.
+SETTLE_BYTES = (32 << 20) - (64 << 10)
+
+
+@functools.cache  # the allocator's thresholds are the process's, not a run's
+def _settle_allocator() -> None:
+    """Allocate and free the SETTLE_BYTES block, once in a process."""
+    np.empty(SETTLE_BYTES // 8)
+
+
 def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
     """Initialize and advance total_steps steps, emitting through the sinks.
 
@@ -410,9 +474,14 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
     Every sampled state, the final one too, gets one stencil_pass, which
     diagnostics.measure reads and step, for a state stepped next, then
     uses.
+    Each step writes into the grid of the state run dropped last, its
+    `spare`: one that is not state 0, was not emitted and is not returned.
+    A state handed to on_snapshot, or returned, is never reused, so a
+    caller may keep it.
 
     Returns (final state, list of DiagnosticsRecord).
     """
+    _settle_allocator()
     state = initialize(p)
     rng = RngStream(p.rng_seed)
     records = []
@@ -431,16 +500,20 @@ def run(p: SimParams, on_snapshot=None, on_diagnostics=None):
         return stencils
 
     emit(state)
+    spare = None
     while state.step < p.total_steps:
         sampled = state.step % p.diagnostics_every == 0
         try:
             # no name here holds the pass 1, so step frees it as it reads it
-            state = step(state, p, rng,
-                         stencils=sample(state) if sampled else None)
+            new = step(state, p, rng, stencils=sample(state) if sampled else None,
+                       spare=spare)
         except BlowupError:
             if state.step % p.snapshot_every:
                 emit(state)
             raise
+        # a state off the snapshot cadence was not emitted (state 0 is on it)
+        spare = state if state.step % p.snapshot_every else None
+        state = new
         if state.step % p.snapshot_every == 0 or state.step == p.total_steps:
             emit(state)
     sample(state)

@@ -222,6 +222,25 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "config error: line 2: repeated config key 'nx'\n"
 
+    @pytest.mark.parametrize("brk", [b"\x0c", b"\r"])
+    def test_config_file_line_ends_at_newline_alone(self, tmp_path, capsys, brk):
+        cfg = tmp_path / "one-line.cfg"
+        cfg.write_bytes(b"nx = 64" + brk + b"ny = 32\r\n")
+        assert main(["check", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: could not parse value ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_config_file_with_crlf_lines_reads_as_without(self, tmp_path, capsys):
+        plain, crlf = tmp_path / "plain.cfg", tmp_path / "crlf.cfg"
+        plain.write_bytes(b"nx = 64\nlatent_heat = 1.6\n")
+        crlf.write_bytes(b"nx = 64\r\nlatent_heat = 1.6\r\n")
+        assert main(["check", "--config", str(plain)]) == 0
+        want = capsys.readouterr()
+        assert main(["check", "--config", str(crlf)]) == 0
+        assert capsys.readouterr() == want
+
     def test_desk_preset_resolves_grid(self, capsys):
         assert main(["check", "--preset", "desk"]) == 0
         values = self.parse(capsys.readouterr().out)
@@ -285,6 +304,14 @@ class TestRender:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot render NaN cell (3, 5)")
         assert "Traceback" not in err
+        assert not target.exists()
+
+    def test_unknown_header_key_fails(self, snapshot, tmp_path, capsys):
+        broken = tmp_path / "extra-key.pfds"
+        broken.write_bytes(snapshot.read_bytes().replace(b"\nfield ", b"\nwho knows\nfield ", 1))
+        target = tmp_path / "r.pgm"
+        assert main(["render", str(broken), "--out", str(target)]) == 1
+        assert capsys.readouterr().err == "error: unknown snapshot header key 'who'\n"
         assert not target.exists()
 
     def test_missing_snapshot_fails(self, tmp_path, capsys):

@@ -136,6 +136,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^line 3: repeated config key 'nx'$"):
             parse_config_text("nx = 64\n# wider\nnx = 96\n")
 
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\r"])
+    def test_only_newline_ends_a_line(self, brk):
+        # str.splitlines would end a line at each of these, and read both keys
+        with pytest.raises(ConfigError, match="could not parse value .* for config key 'nx'"):
+            parse_config_text(f"nx = 64{brk}ny = 32\n")
+
+    def test_line_number_counts_newlines_alone(self):
+        with pytest.raises(ConfigError, match=r"^line 2: expected 'key = value'"):
+            parse_config_text("nx = 64\x0c\nny 32\n")
+
+    def test_crlf_lines_parse(self):
+        assert parse_config_text("nx = 64\r\n# wide\r\n\r\nny = 32\r\n") == {"nx": 64, "ny": 32}
+
     def test_unknown_key_in_dict_rejected(self):
         with pytest.raises(ConfigError, match="workers"):
             params_from_dict({"workers": 4})
@@ -322,13 +336,14 @@ class TestSnapshot:
             ({"field": b"phi\nnx 3"}, 12, "repeats 'nx'"),
             ({"field": b"ph\ti\x7f"}, 16, "printable"),
             ({"field": b"a\x0cb"}, 16, "printable"),
+            ({"who": b"knows"}, 16, "unknown snapshot header key 'who'"),
         ],
         ids=["nx-not-int", "nx-too-small", "negative-extents", "zero-dx", "step-not-int",
              "non-ascii", "nan-dx", "inf-dx", "nx-underscore", "nx-plus-sign",
              "one-negative-extent", "negative-odd-extents", "step-negative",
              "step-underscore", "step-space-plus-sign", "nan-dt", "inf-dt", "negative-dt",
              "dt-underscore", "dt-leading-space", "dx-underscore", "dx-trailing-space",
-             "repeated-key", "field-tab", "field-form-feed"],
+             "repeated-key", "field-tab", "field-form-feed", "unknown-key"],
     )
     def test_malformed_header_value_rejected(self, tmp_path, changed, payload_cells, message):
         header = {b"nx": b"4", b"ny": b"4", b"dx": b"0.03", b"dt": b"0.0001",

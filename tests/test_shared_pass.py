@@ -105,9 +105,9 @@ class TestRunSharesPassOne:
             passes.append(st.step)
             return real_pass(st, q)
 
-        def recording_step(st, q, rng=None, *, stencils=None):
+        def recording_step(st, q, rng=None, *, stencils=None, spare=None):
             given_to_step.append((st.step, stencils is not None))
-            return real_step(st, q, rng, stencils=stencils)
+            return real_step(st, q, rng, stencils=stencils, spare=spare)
 
         monkeypatch.setattr(solver, "stencil_pass", counting_pass)
         monkeypatch.setattr(solver, "step", recording_step)

@@ -1,5 +1,6 @@
 """Time integration: stability bounds, initialization, the update step, run."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -511,6 +512,126 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak / (8 * n * n) < 3.0
+
+
+def state_bytes(st):
+    return st.step, st.phi.data.tobytes(), st.temp.data.tobytes()
+
+
+class TestSpare:
+    """run gives each step the grid of the state it has just dropped, and
+    step writes into a spare only where that gives its spare-less bits."""
+
+    @pytest.mark.parametrize("p", [
+        # the bench's desk-noisy config: snapshots at both ends only
+        SimParams(nx=300, ny=300, total_steps=25, noise_amp=0.01, rng_seed=1,
+                  snapshot_every=25, diagnostics_every=25),
+        small_params(noise_amp=0.01, total_steps=20, rng_seed=4, snapshot_every=1),
+        small_params(noise_amp=0.01, total_steps=30, rng_seed=2, snapshot_every=7,
+                     diagnostics_every=4),
+    ], ids=["desk-noisy", "every-state-emitted", "off-cadence-final"])
+    def test_run_hands_out_the_states_of_a_step_loop(self, p):
+        seen = []
+        final, _ = run(p, on_snapshot=seen.append)
+        handed = seen + [final]
+        st, rng = initialize(p), RngStream(p.rng_seed)
+        loop = {0: state_bytes(st)}
+        for _ in range(p.total_steps):
+            st = step(st, p, rng)
+            loop[st.step] = state_bytes(st)
+        assert [state_bytes(s) for s in handed] == [loop[s.step] for s in handed]
+        assert final.step == p.total_steps
+
+    def test_blowup_run_leaves_the_last_good_state_intact(self):
+        # blows up at step 10; states 0 and 7 are on the cadence, and the
+        # last good state, 9, is emitted on the way out
+        p = small_params(nx=16, ny=16, dt=1e-3, total_steps=40, snapshot_every=7,
+                         allow_unstable=True)
+        seen = []
+        with pytest.raises(BlowupError, match="at step 10,"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run(p, on_snapshot=seen.append)
+        assert [s.step for s in seen] == [0, 7, 9]
+        st, loop = initialize(p), {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(9):
+                loop[st.step] = state_bytes(st)
+                st = step(st, p)
+        loop[st.step] = state_bytes(st)
+        assert [state_bytes(s) for s in seen] == [loop[s.step] for s in seen]
+
+    @staticmethod
+    def grown(p, steps):
+        st, rng = initialize(p), RngStream(p.rng_seed)
+        for _ in range(steps):
+            st = step(st, p, rng)
+        return st, rng
+
+    # the window of the stepped state is rows 14:35, columns 14:35
+    @pytest.mark.parametrize("cells", [
+        np.s_[8:20, 20:40],  # across its top rows and its right columns
+        np.s_[18:30, 10:30],  # across its left columns
+        np.s_[20:30, 20:30],  # inside it
+        np.s_[40:48, 0:5],  # wholly outside it
+        np.s_[0:48, 0:48],  # the whole grid
+        None,  # all zero, so no box
+    ], ids=["top-right", "left", "inside", "outside", "whole-grid", "no-box"])
+    def test_hand_built_spare_gives_the_spare_less_bits(self, cells):
+        p = small_params(nx=48, ny=48, noise_amp=0.01, rng_seed=6, seed_radius_sq=9.0)
+        st, rng = self.grown(p, 6)
+        assert widen(st.box, (p.nx, p.ny)) == (slice(14, 35), slice(14, 35))
+        grid = np.zeros((2, p.nx, p.ny))
+        if cells is not None:
+            grid[(slice(None), *cells)] = np.random.default_rng(0).uniform(
+                -1.0, 2.0, grid[(slice(None), *cells)].shape)
+        spare = SimState(phi=Field(grid[0], p.dx), temp=Field(grid[1], p.dx), step=3)
+        want = step(st, p, copy.deepcopy(rng))
+        got = step(st, p, rng, spare=spare)
+        assert state_bytes(got) == state_bytes(want)
+        assert got.box == want.box == nonzero_box((got.phi.data, got.temp.data))
+        assert got.phi.data.base is grid
+
+    def test_spare_is_not_the_stepped_state_or_one_array(self):
+        p = small_params(noise_amp=0.01, rng_seed=3)
+        st, rng = self.grown(p, 3)
+        grid = np.zeros((2, p.nx, p.ny))
+        other = np.zeros((3, p.nx, p.ny))
+        frozen = np.zeros((2, p.nx, p.ny))
+        frozen.flags.writeable = False
+        bad = {
+            "itself": st,
+            "same-grid": dataclasses.replace(st, step=0),
+            "initial": initialize(p),
+            "one-plane-twice": SimState(phi=Field(grid[0], p.dx), temp=Field(grid[0], p.dx)),
+            "three-planes": SimState(phi=Field(other[0], p.dx), temp=Field(other[1], p.dx)),
+            "read-only": SimState(phi=Field(frozen[0], p.dx), temp=Field(frozen[1], p.dx)),
+            "wrong-shape": SimState(phi=Field(np.zeros((2, p.nx, p.ny + 1))[0], p.dx),
+                                    temp=Field(np.zeros((2, p.nx, p.ny + 1))[1], p.dx)),
+        }
+        for spare in bad.values():
+            with pytest.raises(ValueError, match="spare"):
+                step(st, p, rng, spare=spare)
+        # every refusal came before the noise draw
+        want = step(st, p, self.grown(p, 3)[1])
+        assert state_bytes(step(st, p, rng)) == state_bytes(want)
+
+    def test_recycled_noisy_step_allocates_less_than_one_grid_array(self):
+        # the 13th step of a noisy 300x300 run, as TestMemory's, into the
+        # grid of the 11th state
+        n = 300
+        p = SimParams(nx=n, ny=n, noise_amp=0.01, rng_seed=1)
+        rng = RngStream(p.rng_seed)
+        spare, st = None, step(initialize(p), p, rng)  # state 0 is no spare
+        for _ in range(11):
+            spare, st = st, step(st, p, rng, spare=spare)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step(st, p, rng, spare=spare)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) < 1.0
 
 
 class TestNoRolledCopies:
