@@ -1,9 +1,10 @@
 """Command-line front end: run, sweep, check, and render subcommands.
 
 Exit codes: 0 success, 1 runtime failure (blow-up, I/O, bad snapshot),
-2 usage or config error.  The handlers raise; main alone turns ConfigError
-into 2 and OSError, MemoryError (a grid too large to allocate) or
-SnapshotFormatError into 1.
+2 usage or config error.  main turns ConfigError into 2 and OSError,
+MemoryError (a grid too large to allocate) or SnapshotFormatError into 1;
+_execute_run (a run's failure, so a sweep goes on), cmd_sweep (--jobs)
+and cmd_render (a NaN cell) print their own.
 """
 
 from __future__ import annotations
@@ -84,14 +85,13 @@ def _reason(exc: Exception) -> str:
 def _execute_run(params: SimParams, outdir: Path, label: str = ""):
     """One full simulation with the standard artifact set in outdir.
 
-    Returns (exit code, last diagnostics record).  On blow-up the
-    snapshots and diagnostics gathered so far are still written, and the
-    blow-up is one stderr line, named by `label` (a sweep's key=token):
+    Returns (exit code, last diagnostics record or, on a failure, None).
+    A failure is one stderr line, named by `label` (a sweep's key=token):
     numpy's floating-point warnings are off for the run, in this thread.
+    On blow-up the snapshots and diagnostics gathered so far are still
+    written; on an OSError or MemoryError nothing more is.
     """
-    outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    records = []
+    outputs, records = [], []
 
     def save_state(st):
         for name, field in (("phi", st.phi), ("temp", st.temp)):
@@ -101,20 +101,24 @@ def _execute_run(params: SimParams, outdir: Path, label: str = ""):
 
     failure = None
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            state, _ = run(params, on_snapshot=save_state, on_diagnostics=records.append)
-    except BlowupError as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                state, _ = run(params, on_snapshot=save_state, on_diagnostics=records.append)
+        except BlowupError as exc:
+            failure = exc
+        write_diagnostics_csv(records, outdir / "diagnostics.csv")
+        outputs.append("diagnostics.csv")
+        if failure is None:
+            write_pgm(state.phi, outdir / "phi_final.pgm")
+            outputs.append("phi_final.pgm")
+        outputs.append("manifest.json")
+        write_manifest(outdir / "manifest.json", params, outputs, _versions())
+    except (OSError, MemoryError) as exc:
         failure = exc
-    write_diagnostics_csv(records, outdir / "diagnostics.csv")
-    outputs.append("diagnostics.csv")
-    if failure is None:
-        write_pgm(state.phi, outdir / "phi_final.pgm")
-        outputs.append("phi_final.pgm")
-    outputs.append("manifest.json")
-    write_manifest(outdir / "manifest.json", params, outputs, _versions())
     if failure is not None:
-        print(f"error: {label}{failure}", file=sys.stderr)
-        return 1, records[-1]
+        print(f"error: {label}{_reason(failure)}", file=sys.stderr)
+        return 1, None
     return 0, records[-1]
 
 
@@ -159,16 +163,10 @@ def cmd_sweep(args) -> int:
     outroot = Path(args.out)
     outroot.mkdir(parents=True, exist_ok=True)
 
-    def one(item):
-        tok, params = item
-        try:
-            return _execute_run(params, outroot / f"{key}={tok}", f"{key}={tok}: ")
-        except (OSError, MemoryError) as exc:
-            print(f"error: {key}={tok}: {_reason(exc)}", file=sys.stderr)
-            return 1, None
-
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(one, plan.items()))
+        results = list(pool.map(_execute_run, plan.values(),
+                                [outroot / f"{key}={tok}" for tok in plan],
+                                [f"{key}={tok}: " for tok in plan]))
 
     lines = [SWEEP_HEADER]
     for tok, (code, last) in zip(plan, results):

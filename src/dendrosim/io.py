@@ -111,19 +111,26 @@ def format_config(p: SimParams) -> str:
 
 def write_snapshot(field: Field, path, name: str = "phi", step: int = 0, dt: float = 0.0) -> int:
     """Write a field as header + raw float64 payload; returns bytes written.
-    A header that read_snapshot would reject is a ValueError, and no file."""
-    dt = float(dt)
-    if not (0.0 <= dt < math.inf and step >= 0 and name.isascii() and name.isprintable()):
-        raise ValueError(f"no snapshot header for dt={dt!r}, step={step!r}, name={name!r}")
+    The header is read back with read_snapshot's parser first: unless it
+    reads back as the field's extents and spacing and the step, dt and name
+    given (a character ASCII lacks reads "?"), it is a ValueError, and no
+    file."""
     header = SNAPSHOT_MAGIC + (
         f"nx {field.nx}\n"
         f"ny {field.ny}\n"
         f"dx {float(field.dx)!r}\n"
-        f"dt {dt!r}\n"
+        f"dt {float(dt)!r}\n"
         f"step {step}\n"
         f"field {name}\n"
         "\n"
-    ).encode("ascii")
+    ).encode("ascii", "replace")
+    try:
+        read = _parse_header(header)[:4]
+        if read != (field.nx, field.ny, field.dx, {"step": step, "dt": dt, "field": name}):
+            raise SnapshotFormatError(f"it reads back as {read}")
+    except SnapshotFormatError as exc:
+        raise ValueError(f"no snapshot header for dt={dt!r}, step={step!r}, name={name!r}: "
+                         f"{exc}") from None
     # written through the buffer protocol: no copy of a little-endian field
     payload = np.ascontiguousarray(field.data, dtype="<f8")
     with open(path, "wb") as fh:
@@ -132,10 +139,9 @@ def write_snapshot(field: Field, path, name: str = "phi", step: int = 0, dt: flo
     return len(header) + payload.nbytes
 
 
-def read_snapshot(path) -> tuple[Field, dict]:
-    """Read a snapshot back; returns (field, meta) with meta holding step/dt/name."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _parse_header(blob: bytes) -> tuple[int, int, float, dict, int]:
+    """nx, ny, dx, meta (see read_snapshot) and payload offset of the
+    snapshot bytes `blob`; a SnapshotFormatError if its header breaks a rule."""
     if not blob.startswith(SNAPSHOT_MAGIC):
         if blob.startswith(b"PFDS"):
             raise SnapshotFormatError(
@@ -173,10 +179,17 @@ def read_snapshot(path) -> tuple[Field, dict]:
             raise ValueError(f"dt must be finite and non-negative, got {dt!r}")
         if not header["field"].isprintable():
             raise ValueError(f"field must be printable ASCII, got {header['field']!r}")
-        meta = {"step": int(header["step"]), "dt": dt, "field": header["field"]}
     except ValueError as exc:
         raise SnapshotFormatError(f"malformed snapshot header: {exc}") from None
-    payload = blob[end + 2:]
+    return nx, ny, dx, {"step": int(header["step"]), "dt": dt, "field": header["field"]}, end + 2
+
+
+def read_snapshot(path) -> tuple[Field, dict]:
+    """Read a snapshot back; returns (field, meta) with meta holding step/dt/name."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    nx, ny, dx, meta, start = _parse_header(blob)
+    payload = blob[start:]
     expected = 8 * nx * ny
     if len(payload) != expected:
         raise SnapshotFormatError(

@@ -185,10 +185,7 @@ class SimState:
     assigning one raises FrozenInstanceError, and a changed copy is made
     with dataclasses.replace.  Building a state makes its phi and T arrays
     read-only, the caller's own array too where Field did not copy it, so
-    writing into them raises ValueError.  The one way round that is step's
-    `spare`: a state its caller gives up, whose grid step writes the next
-    state into.  run gives up only states it has dropped, never one it
-    handed to a caller (see run).
+    writing into them raises ValueError: only step writes into a `spare`.
     """
 
     phi: Field
@@ -274,21 +271,14 @@ def stencil_pass(state: SimState, p: SimParams) -> PassOne:
 
 
 def _reused_grid(spare: SimState, state: SimState, window: Box) -> np.ndarray:
-    """The writeable (2, nx, ny) array whose planes are spare's phi and T,
-    with spare's box cleared if it reaches outside `window`; a ValueError
-    if there is no such array or state shares it."""
-    shape = state.phi.data.shape
-    phi, temp = spare.phi.data, spare.temp.data
-    grid = phi.base
-    # two disjoint C-contiguous planes in the buffer of a C-contiguous
-    # (2, nx, ny) array are its two planes
-    if not (isinstance(grid, np.ndarray) and grid.shape == (2, *shape)
-            and grid.flags.writeable and grid.flags.c_contiguous and temp.base is grid
-            and phi.shape == temp.shape == shape and not np.may_share_memory(phi, temp)):
-        raise ValueError("spare phi and T must be the two planes of one writeable "
-                         f"(2, {shape[0]}, {shape[1]}) array")
+    """The grid step wrote `spare` into, its box cleared if it reaches
+    outside `window`, or a ValueError (see step)."""
+    grid = getattr(spare, "_grid", None)
+    if grid is None or grid.shape != (2, *state.phi.data.shape):
+        raise ValueError("spare must be a state step returned, once, of the stepped state's shape")
     if np.may_share_memory(grid, state.phi.data) or np.may_share_memory(grid, state.temp.data):
         raise ValueError("spare shares its grid with the stepped state")
+    object.__delattr__(spare, "_grid")  # a spare gives its grid up once
     box = spare.box
     # in a run the box lies inside the window but where the crystal shrinks
     if box is not None and not all(w.start <= b.start and b.stop <= w.stop
@@ -345,17 +335,13 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     state's fields; that window alone is checked for finite values and
     scanned for the new box, which the new state carries.  A BlowupError
     names the first non-finite cell of the grid, phi before T.
-    That grid is a new one of zeros, or, given `spare`, the grid of that
-    state, which the caller gives up.  Its phi and T must be the two planes
-    of one writeable (2, nx, ny) array that the stepped state does not
-    share, as in every state step returns; anything else is a ValueError,
-    raised before the noise is drawn.  Its box is cleared if it reaches
-    outside the window, and the window written, so its cells outside its
-    box must be +0.0, as in every state step returns (none holds a -0.0
-    cell).  The spare's fields then change, also when step raises
-    BlowupError, so it must be a state no one reads again.  run gives each
-    step the state it has just dropped, which saves zero-filling the whole
-    grid at every step.
+    That grid is a new one of zeros, or that of `spare`, a state step
+    returned that the caller gives up (see run), which saves zero-filling
+    it; the spare's fields change, also when step raises BlowupError.  A
+    spare step did not return, one given before, or one whose grid has
+    another shape or is this state's is a ValueError, before the noise
+    draw.  Its box, outside which its cells are +0.0, is cleared if it
+    reaches outside the window, and the window written.
 
     With replicate_appendix_bug the eps^2 gradient degenerates to the two
     scalars left over from the grid's last raster cell, reproducing the
@@ -437,8 +423,10 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     if box is not None:
         box = tuple(slice(w.start + b.start, w.start + b.stop) for w, b in zip(window, box))
     result = SimState(phi=Field(grid[0], dx), temp=Field(grid[1], dx), step=new_step)
-    # box is a cached_property: this stores the value its first read would compute
+    # box is a cached_property: this stores the value its first read would
+    # compute; _grid is the grid a later step may take back as the spare's
     object.__setattr__(result, "box", box)
+    object.__setattr__(result, "_grid", grid)
     return result
 
 

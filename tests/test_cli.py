@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dendrosim
 from dendrosim import SimParams
@@ -15,10 +18,12 @@ from dendrosim.cli import PRESETS, main
 from dendrosim.io import (
     CONFIG_KEYS,
     DIAGNOSTICS_HEADER,
+    SNAPSHOT_MAGIC,
     read_manifest,
     read_snapshot,
     write_snapshot,
 )
+from strategies import config_texts, snapshot_bodies
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -318,6 +323,43 @@ class TestRender:
         assert main(["render", str(tmp_path / "nope.pfds"),
                      "--out", str(tmp_path / "r.pgm")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def captured_main(argv):
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestAnyInput:
+    """Whatever a user feeds check and render, each exits with a code of
+    its own and reports a failure on one stderr line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.text(), config_texts()))
+    def test_any_config_file_is_checked_or_one_config_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "any.cfg"
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = captured_main(["check", "--config", str(path)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out == ""
+            assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=200), snapshot_bodies()))
+    def test_any_snapshot_is_rendered_or_one_error(self, tmp_path_factory, body):
+        path = tmp_path_factory.getbasetemp() / "any.pfds"
+        path.write_bytes(SNAPSHOT_MAGIC + body)
+        code, out, err = captured_main(["render", str(path), "--out",
+                                        str(tmp_path_factory.getbasetemp() / "any.pgm")])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""
 
 
 class TestSweep:

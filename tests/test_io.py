@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import from_dtype
 
 import reference as R
+from strategies import config_texts, snapshot_bodies
 from dendrosim.diagnostics import DiagnosticsRecord
 from dendrosim.io import (
     CONFIG_KEYS,
@@ -34,29 +36,6 @@ from dendrosim.solver import SimParams
 
 FLOAT_KEYS = [key for key, value in params_to_dict(SimParams()).items()
               if isinstance(value, float)]
-HEADER_KEYS = (b"nx", b"ny", b"dx", b"dt", b"step", b"field")
-HEADER_VALUES = st.one_of(
-    st.sampled_from([b"-4", b"0", b"2", b"3", b"4", b"1e400", b"nan", b"9" * 30]),
-    st.binary(max_size=6),
-)
-
-
-def snapshot_bodies():
-    """Complete headers with odd values, followed by a payload of whole cells."""
-    header = st.tuples(*[HEADER_VALUES] * len(HEADER_KEYS)).map(
-        lambda vs: b"".join(k + b" " + v + b"\n" for k, v in zip(HEADER_KEYS, vs))
-    )
-    payload = st.integers(0, 20).map(lambda n: b"\x00" * (8 * n))
-    return st.tuples(header, payload).map(lambda hp: hp[0] + b"\n" + hp[1])
-
-
-def config_texts():
-    """Lines of known keys with arbitrary values, mixed with arbitrary lines."""
-    line = st.one_of(
-        st.tuples(st.sampled_from(CONFIG_KEYS), st.text(max_size=12)).map(" = ".join),
-        st.text(max_size=30),
-    )
-    return st.lists(line, max_size=6).map("\n".join)
 
 
 class TestConfigParsing:
@@ -358,15 +337,35 @@ class TestSnapshot:
     @pytest.mark.parametrize(
         "kwargs",
         [{"dt": float("nan")}, {"dt": float("inf")}, {"dt": -1.0}, {"step": -1},
+         {"step": 3.0}, {"step": True}, {"step": np.float64(2)},
          {"name": "phi\nnx 5"}, {"name": "phi\r"}],
-        ids=["nan-dt", "inf-dt", "negative-dt", "negative-step", "name-line-break",
-             "name-carriage-return"],
+        ids=["nan-dt", "inf-dt", "negative-dt", "negative-step", "float-step", "bool-step",
+             "numpy-float-step", "name-line-break", "name-carriage-return"],
     )
     def test_writer_refuses_a_header_the_reader_rejects(self, tmp_path, kwargs):
         path = tmp_path / "f.pfds"
         with pytest.raises(ValueError):
             write_snapshot(Field.zeros(5, 5, 0.03), path, **kwargs)
         assert not path.exists()
+
+    @given(
+        step=st.one_of(st.integers(), st.floats(), st.booleans(),
+                       st.sampled_from([np.int64, np.uint8, np.float64, np.float32, np.bool_])
+                       .flatmap(lambda t: from_dtype(np.dtype(t)))),
+        dt=st.floats(),
+        name=st.text(),
+    )
+    def test_writer_writes_only_what_the_reader_reads_back(self, tmp_path_factory, step, dt,
+                                                           name):
+        path = tmp_path_factory.getbasetemp() / "written.pfds"
+        path.unlink(missing_ok=True)
+        try:
+            write_snapshot(Field.zeros(3, 4, 0.03), path, name=name, step=step, dt=dt)
+        except ValueError:
+            assert not path.exists()
+            return
+        _, meta = read_snapshot(path)
+        assert meta == {"step": step, "dt": dt, "field": name}
 
     @given(st.one_of(st.binary(max_size=200), snapshot_bodies()))
     def test_arbitrary_bytes_after_magic_raise_only_format_error(self, tmp_path_factory, body):
