@@ -34,9 +34,17 @@ class DiagnosticsRecord:
     arm_count: int
 
 
+def _solid_cells(phi: Field, window=np.s_[:, :]) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets (di, dj) from the grid center of phi's solid cells in `window`,
+    in raster order, the order a whole-grid boolean mask selects them in."""
+    di, dj = np.nonzero(phi.data[window] >= SOLID_THRESHOLD)
+    r0, c0 = (s.indices(n)[0] - n // 2 for s, n in zip(window, phi.data.shape))
+    return di + r0, dj + c0
+
+
 def solid_fraction(phi: Field) -> float:
     """Fraction of cells at or above the solid threshold."""
-    return float(np.count_nonzero(phi.data >= SOLID_THRESHOLD)) / (phi.nx * phi.ny)
+    return _solid_cells(phi)[0].size / (phi.nx * phi.ny)
 
 
 def tip_extents(phi: Field) -> tuple[float, float, float, float]:
@@ -51,8 +59,9 @@ def tip_extents(phi: Field) -> tuple[float, float, float, float]:
     return tuple(tips)
 
 
-def _radius_profile(phi: Field) -> np.ndarray:
-    """Max solid radius in each of 360 one-degree sectors about the grid center.
+def _radius_profile(phi: Field, cells=None) -> np.ndarray:
+    """Max solid radius in each of 360 one-degree sectors about the grid
+    center, over phi's solid cells `cells` (_solid_cells), by default all.
 
     A solid cell contributes to every sector its square footprint overlaps
     (bounded by its corner angles), not just the sector of its center point;
@@ -64,12 +73,8 @@ def _radius_profile(phi: Field) -> np.ndarray:
     visited, and each sector's value is an exact max over the footprints that
     cover it, so it does not depend on the order the cells are taken in.
     """
-    nx, ny, dx = phi.nx, phi.ny, phi.dx
-    # in raster order, the order a whole-grid boolean mask selects them in
-    cells = np.flatnonzero(phi.data >= SOLID_THRESHOLD)
-    di = cells // ny - nx // 2
-    dj = cells % ny - ny // 2
-
+    di, dj = _solid_cells(phi) if cells is None else cells
+    dx = phi.dx
     q1 = (dj > 0) & (di <= 0)
     q2 = (di < 0) & (dj <= 0)
     q3 = (dj < 0) & (di >= 0)
@@ -110,8 +115,11 @@ def arm_count(phi: Field) -> int:
     A profile that swings less than ARM_MIN_CELLS cells is a disk and gives 0;
     a j-fold star gives j, and so does one whose tips split in mirror pairs.
     """
-    profile = _radius_profile(phi)
-    if profile.max() - profile.min() < ARM_MIN_CELLS * phi.dx:
+    return _arm_count(_radius_profile(phi), phi.dx)
+
+
+def _arm_count(profile, dx: float) -> int:
+    if profile.max() - profile.min() < ARM_MIN_CELLS * dx:
         return 0
     return 1 + int(np.argmax(np.abs(np.fft.rfft(profile)[1:])))
 
@@ -143,6 +151,7 @@ def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
     the sum over the grid.  The exception is a cell within lattice_sum's
     overflow margin, which depends on the cell count: there both sums fall
     back to numpy's and may differ.
+    The solid cells (phi >= 0.5) all lie in the box, and are found there once.
     """
     if stencils is None:
         stencils = solver.stencil_pass(state, p)
@@ -160,15 +169,16 @@ def measure(state, p, *, stencils=None) -> DiagnosticsRecord:
     density = double_well(phi_w.data, m_of_temperature(temp_w.data, p))
     density += cell_view(bend, pitch, phi_w.ny)
     tip_px, tip_mx, tip_py, tip_my = tip_extents(phi)
+    cells = _solid_cells(phi, window)
     return DiagnosticsRecord(
         step=state.step,
         time=state.step * p.dt,
-        solid_fraction=solid_fraction(phi),
+        solid_fraction=cells[0].size / (phi.nx * phi.ny),
         tip_px=tip_px,
         tip_mx=tip_mx,
         tip_py=tip_py,
         tip_my=tip_my,
         conservation_sum=conservation_sum(phi_w, temp_w, p.latent_heat),
         free_energy=lattice_sum(Field(density, phi.dx)),
-        arm_count=arm_count(phi),
+        arm_count=_arm_count(_radius_profile(phi, cells), phi.dx),
     )

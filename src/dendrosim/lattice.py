@@ -68,12 +68,13 @@ def divisors(dx: float, mode: str) -> float:
 
 
 def halo(planes, window: tuple[slice, slice]) -> np.ndarray:
-    """Copy of `window` of each of `planes` (equal-shape 2-D arrays) with
-    k = REACH rings of its periodic grid neighbours, as one array of shape
-    (len(planes), window rows + 2k, window columns + 2k): along an axis of n
-    cells and window lo:hi, the copy holds cells lo - k ... hi + k - 1 mod n.
-    It is built from slice copies, one per run of cells that does not wrap
-    (cheaper than np.pad, and far cheaper than fancy indexing)."""
+    """Copy of `window` of the planes of `planes`, a (p, nx, ny) array or p
+    2-D arrays (stacked once), with k = REACH rings of periodic neighbours,
+    as one (p, rows + 2k, columns + 2k) array: along an axis of n cells and
+    window lo:hi, it holds cells lo - k ... hi + k - 1 mod n.  It is one
+    slice copy of all planes per run of cells that does not wrap (cheaper
+    than np.pad, far cheaper than fancy indexing)."""
+    planes = np.asanyarray(planes)
     k = REACH
 
     def runs(s, n):
@@ -85,37 +86,36 @@ def halo(planes, window: tuple[slice, slice]) -> np.ndarray:
             yield c % n, c % n + stop - c, c - lo + k
             c = stop
 
-    shape = planes[0].shape
+    shape = planes.shape[1:]
     rows, cols = (list(runs(s, n)) for s, n in zip(window, shape))
     out = np.empty([len(planes)] + [len(range(*s.indices(n))) + 2 * k
                                     for s, n in zip(window, shape)])
-    for plane, a in zip(out, planes):
-        for r0, r1, i in rows:
-            for c0, c1, j in cols:
-                plane[i:i + r1 - r0, j:j + c1 - c0] = a[r0:r1, c0:c1]
+    for r0, r1, i in rows:
+        for c0, c1, j in cols:
+            out[:, i:i + r1 - r0, j:j + c1 - c0] = planes[:, r0:r1, c0:c1]
     return out
 
 
 Box = tuple[slice, slice]
 
-_EDGES = (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1])
+_EDGES = (np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1])
 
 
 def nonzero_box(planes) -> Box | None:
     """Smallest (row slice, column slice) box holding every nonzero cell of
-    the planes of `planes`, an array of shape (k, nx, ny) or a sequence of
-    equal-shape 2-D arrays, or None when they are all zero.
+    the planes of `planes`, a (k, nx, ny) array or k equal-shape 2-D arrays
+    (stacked once), or None when they are all zero.
 
     NaN cells count as nonzero and -0.0 cells as zero.  The four edge lines
-    are read first: when each holds a nonzero cell the box is the whole
-    plane, and no other cell is read.
+    of all planes are read first: when each holds a nonzero cell the box is
+    the whole plane, and no other cell is read.  Otherwise the planes are
+    reduced once, to the mask of cells nonzero in any plane.
     """
-    nx, ny = planes[0].shape
-    if all(any(p[e].any() for p in planes) for e in _EDGES):
+    planes = np.asanyarray(planes)
+    nx, ny = planes.shape[1:]
+    if all(planes[e].any() for e in _EDGES):
         return slice(0, nx), slice(0, ny)
-    live = planes[0] != 0.0
-    for p in planes[1:]:
-        live |= p != 0.0
+    live = planes.any(axis=0)
     rows = np.flatnonzero(live.any(axis=1))
     if rows.size == 0:
         return None

@@ -24,22 +24,21 @@ class RngStream:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
-    def uniform_sym(self, shape, rows=slice(None)):
-        """Rows `rows` (a step-1 slice of the first axis) of an array of `shape`
-        uniform values in [-0.5, 0.5]; by default the whole array.
+    def uniform_sym(self, shape, window=()):
+        """`window` (step-1 slices of the leading axes; by default all) of
+        an array of `shape` uniform values in [-0.5, 0.5].
 
-        The stream advances past the whole array either way: the rows before
-        and after the band are skipped with PCG64.advance, one output per
-        value, so the band equals the same rows of a whole-array draw and
-        every later draw is unchanged.
-        """
-        start, stop, _ = rows.indices(shape[0])
+        The rows of window[0] are drawn, and those before and after skipped
+        with PCG64.advance, one output per value, so the window is that of a
+        whole-array draw and every later draw is unchanged; only the window
+        is shifted by -0.5."""
+        start, stop, _ = (window[0] if window else slice(None)).indices(shape[0])
         row_size = math.prod(shape[1:])
         bits = self._gen.bit_generator
         bits.advance(start * row_size)
-        band = self._gen.random((stop - start, *shape[1:])) - 0.5
+        band = self._gen.random((stop - start, *shape[1:]))
         bits.advance((shape[0] - stop) * row_size)
-        return band
+        return band[(slice(None), *window[1:])] - 0.5
 
 
 def epsilon_of_theta(gx, gy, p):

@@ -174,13 +174,12 @@ class SimState:
     """The phi and T fields after `step` steps, at time step * dt.
 
     A state carries `box`, the box of its nonzero cells, and step and
-    diagnostics.measure take their windows from it.  A state scans its own
-    fields for it, once, on first use; the one exception is the state step
-    returns, which carries the box step found on the window it has just
-    written.  So a run scans the grid once, for its seed, and each step only
-    its window.  That saving is in the growth phase only: once the window
-    spans the grid (step 145 of the desk preset), a step costs what it did
-    with a scan.
+    diagnostics.measure take their windows from it.  initialize hands it
+    the seed's box, and step the box it found on the window it wrote; any
+    other state scans its fields once, on first use.  So a run scans no
+    whole grid, and each step only its window, a saving of the growth phase
+    only: once the window spans the grid (step 145 of the desk preset), a
+    step costs what it did with a scan.
     A state is immutable, so its fields can never change under its box:
     assigning one raises FrozenInstanceError, and a changed copy is made
     with dataclasses.replace.  Building a state makes its phi and T arrays
@@ -198,9 +197,22 @@ class SimState:
 
     @functools.cached_property
     def box(self):
-        """lattice.nonzero_box of phi and T, scanned on first use; step
-        hands it to the state it returns."""
-        return nonzero_box((self.phi.data, self.temp.data))
+        """lattice.nonzero_box of phi and T (see the class docstring)."""
+        return nonzero_box(self._planes)
+
+    @functools.cached_property
+    def _planes(self):
+        """phi and T as the planes of one (2, nx, ny) array, as _state_on's."""
+        return np.stack((self.phi.data, self.temp.data))
+
+
+def _state_on(grid: np.ndarray, dx: float, step: int, box: Box | None) -> SimState:
+    """The state at `step` on the planes of `grid`, whose box is `box`."""
+    state = SimState(phi=Field(grid[0], dx), temp=Field(grid[1], dx), step=step)
+    # both are cached_properties: this stores what their first reads would
+    object.__setattr__(state, "box", box)
+    object.__setattr__(state, "_planes", grid)
+    return state
 
 
 def stability_check(p: SimParams) -> tuple[bool, float, float]:
@@ -222,22 +234,30 @@ def stability_check(p: SimParams) -> tuple[bool, float, float]:
 
 def initialize(p: SimParams) -> SimState:
     """Solid disk of radius^2 seed_radius_sq (in cells) at the grid center,
-    surrounded by supercooled liquid at temperature 0."""
-    di = np.arange(p.nx)[:, None] - p.nx // 2
-    dj = np.arange(p.ny)[None, :] - p.ny // 2
-    phi = np.where(di * di + dj * dj < p.seed_radius_sq, 1.0, 0.0)
-    return SimState(phi=Field(phi, p.dx), temp=Field.zeros(p.nx, p.ny, p.dx))
+    surrounded by supercooled liquid at temperature 0: the cells (di, dj)
+    from the center cell (nx // 2, ny // 2) with di^2 + dj^2 < seed_radius_sq
+    are 1.0, the rest +0.0.  It writes the disk on its box into a zeroed
+    (2, nx, ny) grid, and hands the box over; the state is no spare."""
+    grid = np.zeros((2, p.nx, p.ny))
+    box = None
+    if p.seed_radius_sq > 0.0:
+        # the largest d with d^2 < seed_radius_sq; SimParams keeps it < n / 2
+        d = math.isqrt(math.ceil(p.seed_radius_sq) - 1)
+        box = tuple(slice(n // 2 - d, n // 2 + d + 1) for n in (p.nx, p.ny))
+        off = np.arange(-d, d + 1)
+        grid[0][box] = off[:, None] * off[:, None] + off * off < p.seed_radius_sq
+    return _state_on(grid, p.dx, 0, box)
 
 
 class PassOne(typing.NamedTuple):
     """A state's pass 1 (see step): its window, the pitch of the halo copy's
-    rows, the (2, ...) view of that copy's window plus one ring, from which
-    step takes the phi and T it updates and its pair Laplacian, and grad
-    phi, eps and eps' on the window plus one ring, all at that pitch."""
+    rows, the (2, rows * pitch) flat view of that copy, from which step
+    takes the phi and T it updates and its pair Laplacian, and grad phi,
+    eps and eps' on the window plus one ring, all at that pitch."""
 
     window: Box
     pitch: int
-    ring: np.ndarray
+    pair: np.ndarray
     gx: np.ndarray
     gy: np.ndarray
     eps: np.ndarray
@@ -248,7 +268,7 @@ def stencil_pass(state: SimState, p: SimParams) -> PassOne:
     """Pass 1 of step on `state`: the window, its pair halo, grad phi, and
     eps and eps' of grad phi, in that order.  The pair Laplacian,
     which measure does not read, is left to step, which takes it from the
-    halo's `ring`.  run computes it once for each state it samples and hands
+    halo's `pair`.  run computes it once for each state it samples and hands
     it to diagnostics.measure, and then to step when the state is stepped
     next.  A state field of another spacing than p.dx, or of another shape
     than p.nx x p.ny, is a ValueError, raised before the box is scanned."""
@@ -261,13 +281,12 @@ def stencil_pass(state: SimState, p: SimParams) -> PassOne:
             raise ValueError(f"state {name} has dx={f.dx}, but the params have dx={p.dx}")
     dx, mode = p.dx, p.divisor_mode
     window = widen(state.box, state.phi.data.shape)
-    h = halo((state.phi.data, state.temp.data), window)
+    h = halo(state._planes, window)
     pitch = h.shape[2]
-    f = h.reshape(2, -1)
-    ring = f[:, inset(pitch)]  # the window and one ring
-    gx, gy = gradient_arrays(f[0], pitch, dx, mode)
+    pair = h.reshape(2, -1)
+    gx, gy = gradient_arrays(pair[0], pitch, dx, mode)
     eps, eps_prime = epsilon_of_theta(gx, gy, p)
-    return PassOne(window, pitch, ring, gx, gy, eps, eps_prime)
+    return PassOne(window, pitch, pair, gx, gy, eps, eps_prime)
 
 
 def _reused_grid(spare: SimState, state: SimState, window: Box) -> np.ndarray:
@@ -301,22 +320,23 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     (lattice.widen), and the whole grid is the widest window.
 
     Pass 1 copies the window of phi and T once, together, with REACH = 2
-    rings of their periodic neighbours (lattice.halo): a (2, R, C) buffer, C
-    the window's columns + 2 REACH.  Every stencil reads contiguous slices of
-    the buffer's flat view, in valid mode, so its result is its input less
-    one ring (see lattice).  grad(phi), eps and eps' of it and the flux
-    product eps*eps'*grad(phi) cover the window plus one ring; the
-    Laplacians of phi and T (one call on the pair), grad(eps^2) and the flux
-    differences cover the window.  These arrays keep the rows at pitch C, so
-    they also hold the positions between the ends of their rows.  Those are
-    no cells: their stencils wrap from one row's end to the next row's
-    start, but read only finite halo values, and no cell reads them.  The
-    padded rows end at the last sums of stencil results, the Allen-Cahn sum
-    and T + dt lap(T): they and phi are cut to the window's cells
-    (cell_view), and the noise, the window of one whole-grid draw, and the
-    update run on cells.
+    rings of their periodic neighbours (lattice.halo of the state's grid):
+    a (2, R, C) buffer, C the window's columns + 2 REACH.  Every stencil
+    reads contiguous slices of the buffer's flat view, in valid mode, so its
+    result is its input less one ring (see lattice).  grad(phi), eps and
+    eps' of it and the flux product eps*eps'*grad(phi) cover the window plus
+    one ring; the Laplacians of phi and T (one call on a flat span across
+    both planes), grad(eps^2) and the flux differences cover the window.
+    These arrays keep the rows at pitch C, so they also hold the positions
+    between the ends of their rows, and the Laplacians those between the
+    planes.  Those are no cells: their stencils wrap from one row's end to
+    the next row's start, but read only finite halo values, and no cell
+    reads them.  The padded rows end at the last sums of stencil results,
+    the Allen-Cahn sum and T + dt lap(T): they and phi are cut to the
+    window's cells (cell_view), and the noise, the window of one whole-grid
+    draw (RngStream.uniform_sym), and the update run on cells.
     stencil_pass computes pass 1 up to eps and eps', less the pair
-    Laplacian, which step then takes from the halo's ring, so a pass 1 that
+    Laplacian, which step then takes from the halo's `pair`, so a pass 1 that
     only measure reads (a run's final sample) computes none.  `stencils` is
     that pass 1 already computed for this state and p: run computes it once
     for each state it samples, so measure and step share it.  It gives the
@@ -351,14 +371,17 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     shape = state.phi.data.shape
     if stencils is None:
         stencils = stencil_pass(state, p)
-    window, pitch, ring, gx, gy, eps, eps_prime = stencils
+    window, pitch, pair, gx, gy, eps, eps_prime = stencils
     del stencils  # so the dels below free what they name
     # before the noise draw, so a spare that raises leaves rng where it was
     grid = None if spare is None else _reused_grid(spare, state, window)
     inner = inset(pitch)
-    phi, temp = ring[:, inner]
-    lap_phi, lap_t = laplacian9_arrays(ring, pitch, dx)
-    del ring
+    phi, temp = pair[:, inner][:, inner]
+    # one Laplacian on the flat span from phi's first ring cell to T's
+    # last, so each of its passes is one contiguous loop
+    lap = laplacian9_arrays(pair.reshape(-1)[inner], pitch, dx)
+    lap_phi, lap_t = lap[:lap.size - pair.shape[1]], lap[pair.shape[1]:]
+    del pair
 
     eps2 = eps * eps
     flux = eps * eps_prime
@@ -371,7 +394,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
         # stale scalars from the grid's last cell, whatever the window: its
         # eps^2 gradient reads phi at most REACH cells away, in its halo
         side = 2 * REACH + 1
-        block = halo((state.phi.data,), np.s_[-1:, -1:]).reshape(-1)
+        block = halo(state.phi.data[None], np.s_[-1:, -1:]).reshape(-1)
         bx, by = gradient_arrays(block, side, dx, mode)
         eps_b, _ = epsilon_of_theta(bx, by, p)
         ge2x, ge2y = (g[0] for g in gradient_arrays(eps_b * eps_b, side, dx, mode))
@@ -399,7 +422,7 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
         if rng is None:
             raise ValueError("noise_amp > 0 requires an RngStream")
         # the window of a whole-grid draw, so the stream does not depend on it
-        chi = rng.uniform_sym(shape, window[0])[:, window[1]]
+        chi = rng.uniform_sym(shape, window)
         rhs = rhs + noise_term(phi, p.noise_amp, chi)
     dphi = rhs * dt_over_tau
 
@@ -422,10 +445,8 @@ def step(state: SimState, p: SimParams, rng: RngStream | None = None, *,
     box = nonzero_box(new)
     if box is not None:
         box = tuple(slice(w.start + b.start, w.start + b.stop) for w, b in zip(window, box))
-    result = SimState(phi=Field(grid[0], dx), temp=Field(grid[1], dx), step=new_step)
-    # box is a cached_property: this stores the value its first read would
-    # compute; _grid is the grid a later step may take back as the spare's
-    object.__setattr__(result, "box", box)
+    result = _state_on(grid, dx, new_step, box)
+    # the grid a later step may take back as the spare's
     object.__setattr__(result, "_grid", grid)
     return result
 

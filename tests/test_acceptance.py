@@ -223,21 +223,32 @@ def test_run_matches_the_recorded_fingerprint():
     assert digest.hexdigest() == spec["sha256"]
 
 
-@pytest.mark.parametrize("config, sha256", [
+@pytest.mark.parametrize("config, sha256, fields_sha256", [
     (json.loads(FINGERPRINT.read_text(encoding="utf-8"))["config"],
-     "92143225af55554f1e260de9fe7ca3cb680ac1805a02410fe20b8bb1f901c421"),
+     "92143225af55554f1e260de9fe7ca3cb680ac1805a02410fe20b8bb1f901c421", None),
     # the bench's sample-dense run: a record every step
     (dict(nx=128, ny=128, total_steps=100, diagnostics_every=1, snapshot_every=10, rng_seed=1),
-     "99a6695127f0181da591a1354f501211a32f2a5da860e59990ee5a130fcc068f"),
-], ids=["fingerprint", "sample-dense"])
-def test_run_records_match_the_recorded_bytes(config, sha256):
+     "99a6695127f0181da591a1354f501211a32f2a5da860e59990ee5a130fcc068f", None),
+    # the bench's desk-noisy run, all growth phase, sampled every step
+    (dict(nx=300, ny=300, total_steps=25, noise_amp=0.01, rng_seed=1, diagnostics_every=1,
+          snapshot_every=25),
+     "0670fa92988fbe11f15dcf2202318229788de5dc370cdb0a4a82f743d0767941",
+     "7f752aecd222ca48f890fc762adac811face96484b3c82bbb1e423daae3eb1f8"),
+], ids=["fingerprint", "sample-dense", "desk-noisy"])
+def test_run_records_match_the_recorded_bytes(config, sha256, fields_sha256):
     # SHA-256 of the CSV rows of every record, one line each: the bytes of
-    # diagnostics.csv less its header
-    _, records = run(params_from_dict(config))
+    # diagnostics.csv less its header; and, where given, that of the final
+    # fields, as test_run_matches_the_recorded_fingerprint takes it
+    state, records = run(params_from_dict(config))
     digest = hashlib.sha256()
     for r in records:
         digest.update((csv_row(r) + "\n").encode("ascii"))
     assert digest.hexdigest() == sha256
+    if fields_sha256 is not None:
+        digest = hashlib.sha256()
+        for f in (state.phi, state.temp):
+            digest.update(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
+        assert digest.hexdigest() == fields_sha256
 
 
 def test_acceptance_09_dihedral_symmetry(acceptance):

@@ -436,6 +436,21 @@ class TestWindowedMeasure:
         # small windows, windows spanning one axis, and spanning both
         assert spans == {(False, False), (True, False), (True, True)}
 
+    def test_solid_cells_of_every_state_of_a_noisy_300_run(self):
+        # measure finds the solid cells on its window alone; its fraction
+        # and arm count are those of the whole-grid functions and mask,
+        # from the seed's small window to one spanning the grid
+        p = SimParams(nx=300, ny=300, noise_amp=0.01, rng_seed=1)
+        windows = set()
+        for st in [initialize(p), *run_states(p, 150)]:
+            rows, cols = widen(st.box, (p.nx, p.ny))
+            windows.add((rows.stop - rows.start) * (cols.stop - cols.start))
+            rec = measure(st, p)
+            solid = np.count_nonzero(st.phi.data >= 0.5)
+            assert rec.solid_fraction == solid_fraction(st.phi) == solid / (p.nx * p.ny)
+            assert rec.arm_count == arm_count(st.phi)
+        assert min(windows) == 13 * 13 and max(windows) == p.nx * p.ny
+
     @pytest.mark.parametrize("layout", ["row-edge", "corner"])
     def test_crystal_across_the_grid_edge(self, layout):
         p = SimParams(nx=40, ny=47, noise_amp=0.01, rng_seed=8, j_mode=6)

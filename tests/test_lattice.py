@@ -163,6 +163,26 @@ class TestHalo:
         assert pair[0].tobytes() == halo((a,), window)[0].tobytes()
         assert pair[1].tobytes() == halo((b,), window)[0].tobytes()
 
+    # the step's input: phi and T as the planes of one (2, nx, ny) grid
+    @pytest.mark.parametrize("shape", [(9, 11), (3, 3), (4, 7)])
+    @pytest.mark.parametrize("window", [
+        np.s_[:, :], np.s_[2:5, 0:11], np.s_[0:9, 3:6], np.s_[3:6, 4:7], np.s_[0:2, 0:2],
+        np.s_[-2:, -1:], np.s_[2:3, 2:3]],
+        ids=["whole", "rows", "cols", "interior", "top-left", "bottom-right", "no-wrap-cell"])
+    def test_stacked_planes_match_np_pad(self, shape, window):
+        grid = np.random.default_rng(37).normal(size=(2, *shape))
+        grid[0, 0, 0], grid[1, -1, -1] = np.nan, -0.0
+        (r0, r1, _), (c0, c1, _) = (s.indices(n) for s, n in zip(window, shape))
+        got = halo(grid, window)
+        nx, ny = shape
+        for plane, a in zip(got, grid):
+            # a period of wrap padding on each side holds every ring
+            wrapped = np.pad(a, ((nx, nx), (ny, ny)), mode="wrap")
+            want = wrapped[r0 + nx - 2:r1 + nx + 2, c0 + ny - 2:c1 + ny + 2]
+            assert plane.tobytes() == want.tobytes()
+            assert plane.shape == (r1 - r0 + 4, c1 - c0 + 4)
+        assert halo(tuple(grid), window).tobytes() == got.tobytes()
+
 
 class TestSupportWindow:
     SHAPE = (20, 30)
@@ -256,6 +276,41 @@ class TestSupportWindow:
         assert box == R.naive_nonzero_box(*pair)
         assert nonzero_box(np.stack(pair)) == box
         assert widen(box, (nx, ny)) == R.naive_window(*pair, REACH)
+
+
+class TestStackedBox:
+    """nonzero_box of a (2, nx, ny) array, the step's result, against the
+    longhand box of its two planes."""
+
+    SHAPE = (7, 9)
+
+    @staticmethod
+    def pair(cells, fill=0.0):
+        grid = np.full((2, *TestStackedBox.SHAPE), fill)
+        for (k, i, j), v in cells.items():
+            grid[k, i, j] = v
+        return grid
+
+    @pytest.mark.parametrize("cells, fill", [
+        ({}, 0.0),
+        ({}, -0.0),
+        ({(0, 3, 4): 1.0}, -0.0),
+        ({(1, 3, 4): np.nan}, 0.0),
+        ({(0, 2, 2): np.nan, (1, 5, 6): -0.0, (1, 4, 7): 5e-324}, -0.0),
+        ({(0, 0, 4): 1.0, (1, 6, 0): -1.0}, 0.0),
+        ({(0, 0, 0): 1.0, (1, 6, 8): np.nan}, 0.0),
+        # three edges live, the fourth only through a -0.0
+        ({(0, 0, 3): 1.0, (0, 6, 3): 1.0, (1, 3, 0): 2.0, (1, 3, 8): -0.0}, 0.0),
+        # every edge live, each through one plane only
+        ({(0, 0, 3): 1.0, (1, 6, 3): np.nan, (0, 3, 0): 2.0, (1, 3, 8): -3.0}, 0.0),
+    ], ids=["zero", "negative-zero", "one-cell", "nan", "mixed", "two-edges", "corners",
+            "three-edges", "four-edges"])
+    def test_matches_the_longhand(self, cells, fill):
+        grid = self.pair(cells, fill)
+        box = nonzero_box(grid)
+        assert box == R.naive_nonzero_box(*grid)
+        assert nonzero_box(tuple(grid)) == box
+        assert nonzero_box(grid[::-1]) == box
 
 
 class TestGradient:

@@ -302,28 +302,37 @@ class TestRngStream:
         assert RngStream(3).uniform_sym((4, 6)).shape == (4, 6)
 
 
-class TestRngRowBand:
-    """A row band draws the same rows as a whole-grid draw, and leaves the
-    stream where the whole-grid draw leaves it."""
+class TestRngWindow:
+    """A window draws the same values as the same window of a whole-grid
+    draw, and leaves the stream where the whole-grid draw leaves it."""
 
     @staticmethod
-    def check(seed, shape, rows):
+    def check(seed, shape, window):
         stream, twin = RngStream(seed), RngStream(seed)
-        band = stream.uniform_sym(shape, rows)
+        got = stream.uniform_sym(shape, window)
         whole = twin.uniform_sym(shape)
-        assert band.tobytes() == whole[rows].tobytes()
+        assert got.tobytes() == whole[window].tobytes()
+        assert got.shape == whole[window].shape
         assert stream.uniform_sym(shape).tobytes() == twin.uniform_sym(shape).tobytes()
 
     @given(st.integers(0, 2**64 - 1), st.integers(3, 20), st.integers(3, 20), st.data())
-    def test_random_bands(self, seed, nx, ny, data):
-        start = data.draw(st.integers(0, nx - 1))
-        stop = data.draw(st.integers(start + 1, nx))
-        self.check(seed, (nx, ny), slice(start, stop))
+    def test_random_windows(self, seed, nx, ny, data):
+        window = []
+        for n in (nx, ny):
+            start = data.draw(st.integers(0, n - 1))
+            window.append(slice(start, data.draw(st.integers(start + 1, n))))
+        self.check(seed, (nx, ny), tuple(window))
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 5), (17, 4)])
     @pytest.mark.parametrize("which", ["first", "last", "all", "default"])
-    def test_edge_bands(self, shape, which):
+    @pytest.mark.parametrize("cols", ["all-columns", "last-column"])
+    def test_edge_bands(self, shape, which, cols):
         nx = shape[0]
         rows = {"first": slice(0, 1), "last": slice(nx - 1, nx),
                 "all": slice(0, nx), "default": slice(None)}[which]
-        self.check(21, shape, rows)
+        self.check(21, shape, (rows, np.s_[:] if cols == "all-columns" else np.s_[-1:]))
+
+    def test_rows_alone_and_the_whole_array(self):
+        self.check(5, (6, 7), (slice(2, 4),))
+        self.check(5, (6, 7), ())
+        self.check(5, (50,), (slice(10, 20),))

@@ -44,9 +44,9 @@ class FixedNoise:
     def __init__(self, chi):
         self.chi = chi
 
-    def uniform_sym(self, shape, rows=slice(None)):
+    def uniform_sym(self, shape, window=()):
         assert shape == self.chi.shape
-        return self.chi[rows]
+        return self.chi[window]
 
 
 def small_params(**kwargs):
@@ -204,6 +204,22 @@ class TestInitialize:
     def test_step_starts_at_zero(self):
         st = initialize(small_params())
         assert st.step == 0
+
+    @pytest.mark.parametrize("shape, radius_sq", [
+        (shape, r2) for shape in ((7, 9), (64, 64), (300, 300))
+        for r2 in (0.0, 0.5, 1.0, 2.0, 20.0, 20.5)
+        if math.sqrt(r2) < min(shape) / 2  # a disk of 20 does not fit 7x9
+    ])
+    def test_fields_and_box_match_the_whole_grid_formula(self, shape, radius_sq):
+        p = SimParams(nx=shape[0], ny=shape[1], seed_radius_sq=radius_sq)
+        st = initialize(p)
+        di = np.arange(p.nx)[:, None] - p.nx // 2
+        dj = np.arange(p.ny)[None, :] - p.ny // 2
+        phi = np.where(di * di + dj * dj < radius_sq, 1.0, 0.0)
+        assert st.phi.data.tobytes() == phi.tobytes()
+        assert st.temp.data.tobytes() == np.zeros(shape).tobytes()
+        assert st.box == nonzero_box((phi, np.zeros(shape)))
+        assert "box" in vars(st)  # carried, not scanned
 
 
 def seeded_state(p, layout):
@@ -727,6 +743,82 @@ class TestNoRolledCopies:
         assert self.halo_copies(monkeypatch, mode, measure) == [[2], [2]]
 
 
+class Counted(np.ndarray):
+    """An array whose ufunc calls, reductions included, are logged in
+    `log` as (ufunc, method, cells written); what it computes is a plain
+    ndarray's, and its results are Counted again."""
+
+    log = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, Counted) else a
+
+        if out is not None:
+            kwargs["out"] = tuple(plain(a) for a in out)
+        result = getattr(ufunc, method)(*(plain(a) for a in inputs), **kwargs)
+        results = result if isinstance(result, tuple) else (result,)
+        Counted.log.append((ufunc.__name__, method, sum(np.size(r) for r in results)))
+        wrapped = tuple(r.view(Counted) if isinstance(r, np.ndarray) else r for r in results)
+        return wrapped if isinstance(result, tuple) else wrapped[0]
+
+
+class CountedDraws:
+    """Stands in for an RngStream's generator: the same draws, as Counted."""
+
+    def __init__(self, gen):
+        self.gen, self.bit_generator = gen, gen.bit_generator
+
+    def random(self, *args, **kwargs):
+        return self.gen.random(*args, **kwargs).view(Counted)
+
+
+def counted_step(monkeypatch, st, p, rng):
+    """(ufunc calls, cells they write) of step(st, p, rng).
+
+    Every array the step computes from descends from the halo copy, the
+    new grid (np.zeros) or the noise draw, and each of these is made
+    Counted, as is cell_view's view, which np.ndarray builds plain.  Left
+    out: slice copies (the halo's, and the clearing of a spare's box),
+    np.zeros' and np.empty's fills, the generator's own draw, and np.nonzero
+    and its kin, which are no ufuncs.  It counts the same on every host."""
+    def counted(f):
+        return lambda *args, **kwargs: f(*args, **kwargs).view(Counted)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "halo", counted(lattice.halo))
+        m.setattr(solver, "cell_view", counted(lattice.cell_view))
+        m.setattr(np, "zeros", counted(np.zeros))
+        m.setattr(rng, "_gen", CountedDraws(rng._gen))
+        Counted.log = []
+        step(st, p, rng)
+    return len(Counted.log), sum(cells for *_, cells in Counted.log)
+
+
+class TestPassCount:
+    """The ufunc calls of one step and the cells they write: an exact
+    count, which shows a cut in passes where wall time does not resolve."""
+
+    @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
+    def test_thirteenth_step_of_a_noisy_run(self, monkeypatch, mode):
+        p = SimParams(nx=300, ny=300, noise_amp=0.01, rng_seed=1, divisor_mode=mode)
+        st, rng = initialize(p), RngStream(p.rng_seed)
+        for _ in range(12):
+            st = step(st, p, rng)
+        # a 37x37 window: 88.4 of its planes, or 1.34 of the grid's
+        assert widen(st.box, (p.nx, p.ny)) == (slice(132, 169), slice(132, 169))
+        assert counted_step(monkeypatch, st, p, rng) == (71, 121007)
+
+    @pytest.mark.parametrize("mode", [PAPER_CODE, CENTERED])
+    def test_full_grid_step(self, monkeypatch, mode):
+        # 83.4 grid planes; each of the pair Laplacian's 11 passes also
+        # writes the 4 pitch + 4 positions between the two planes
+        p = SimParams(nx=64, ny=64, noise_amp=0.01, rng_seed=1, divisor_mode=mode)
+        grid = np.random.default_rng(0).random((2, p.nx, p.ny))
+        st = SimState(phi=Field(grid[0], p.dx), temp=Field(0.1 * grid[1], p.dx))
+        assert counted_step(monkeypatch, st, p, RngStream(1)) == (71, 341507)
+
+
 class TestHeatModeDecay:
     """The PDE the stencil solves: with phi = 0 and T = A cos(2 pi x / L),
     phi stays exactly 0 and T decays as exp(-(4/3) k^2 t), k = 2 pi / L, not
@@ -1018,9 +1110,9 @@ class TestNoGridScan:
         measure(out, p)
         assert shapes == []
 
-    def test_a_run_scans_the_whole_grid_once(self, monkeypatch):
-        # the desk-noisy bench config: the seed state scans its fields for
-        # the step-0 sample, and every step then scans only its window
+    def test_a_run_scans_no_whole_grid(self, monkeypatch):
+        # the desk-noisy bench config: the seed state carries its box from
+        # initialize, and every step scans only its window
         n, seed = 300, 1
         p = SimParams(nx=n, ny=n, total_steps=25, noise_amp=0.01, rng_seed=seed,
                       snapshot_every=25, diagnostics_every=25)
@@ -1041,7 +1133,7 @@ class TestNoGridScan:
         monkeypatch.setattr(lattice, "nonzero_box", recording)
         final, records = run(p)
         assert [r.step for r in records] == [0, 25]
-        assert shapes == [(2, n, n)] + windows
+        assert shapes == windows
         assert final.box == st.box
 
 
